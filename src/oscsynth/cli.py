@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .fockspace import make_space
+from .fockspace import make_space, ptrace_qubit, wigner
 from .multiosc import ftp_two_oscillator
 from .planner import (base_step_count, multi_punch_card, punch_card,
                       scaling_table, scaling_table_csv, steps_arbitrary,
@@ -264,7 +264,7 @@ def cmd_open_sim(args) -> int:
     started = time.time()
     from .opensystem import (CircuitParams, IntegrationError, NoiseRates,
                              density_matrix_to_csv, load_params, load_rates,
-                             run_open_protocol, wigner_comparison)
+                             run_open_protocol)
     inputs = [args.schedule]
     try:
         with open(args.schedule) as fh:
@@ -295,9 +295,8 @@ def cmd_open_sim(args) -> int:
             fh.write(density_matrix_to_csv(rho))
         if args.wigner:
             xs = np.linspace(-4, 4, args.wigner_points)
-            _, w_open, _ = wigner_comparison(schedule, params, rates, xs, xs,
-                                             cutoff=args.cutoff)
-            w_open.to_csv(args.wigner)
+            rho_osc = ptrace_qubit(make_space([args.cutoff]), rho)
+            wigner(rho_osc, xs, xs).to_csv(args.wigner)
             outputs.append(args.wigner)
     except IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)

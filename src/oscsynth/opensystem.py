@@ -9,7 +9,12 @@ an explicit e^{i f t} phase; the generator is assembled once as a list of
 (matrix, frequency) pairs and summed with a phase vector at each time.
 
 Dissipation is zero-temperature Lindblad: qubit relaxation and dephasing,
-oscillator relaxation and dephasing. Rates are plain inverse seconds.
+oscillator relaxation and dephasing. Rates are plain inverse seconds. The
+dissipators act in closed form on the (qubit, Fock) index grid: their
+diagonal terms (the -1/2 {L'L, rho} parts and both dephasings) fold into
+one real mask multiplied into rho, and the two jumps are slice updates
+(the |e><e| block onto |g><g|; sqrt(n+1) sqrt(m+1) rho[n+1, m+1] onto
+rho[n, m]). Only the commutator with H(t) takes matrix products.
 """
 
 from __future__ import annotations
@@ -237,23 +242,6 @@ def hamiltonian_interaction_picture(params: CircuitParams, t: float,
 # Lindblad integration
 
 
-def _lindblad_ops(rates: NoiseRates, cutoff: int):
-    d = cutoff
-    a = _ladder(d)
-    i2 = np.eye(2, dtype=complex)
-    io = np.eye(d, dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    s_minus = np.zeros((2, 2), dtype=complex)
-    s_minus[QUBIT_G, QUBIT_E] = 1.0
-    ops = [
-        (rates.gamma_q_r, np.kron(s_minus, io)),
-        (rates.gamma_q_phi / 2.0, np.kron(sz, io)),
-        (rates.gamma_o_r, np.kron(i2, a)),
-        (rates.gamma_o_phi, np.kron(i2, a.conj().T @ a)),
-    ]
-    return [(g, L, L.conj().T @ L) for g, L in ops if g > 0]
-
-
 def lindblad_evolve(rho0: np.ndarray, hamiltonian, rates: NoiseRates,
                     duration: float, rtol: float = 1e-8, atol: float = 1e-10,
                     max_step: float = None) -> np.ndarray:
@@ -262,21 +250,45 @@ def lindblad_evolve(rho0: np.ndarray, hamiltonian, rates: NoiseRates,
     hamiltonian: callable t -> matrix (or a constant matrix). The result is
     symmetrized; trace preservation to 1e-8 is asserted.
     """
+    rho0 = np.asarray(rho0)
+    if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
+        raise ValueError(f"rho0 must be a square matrix, got shape {rho0.shape}")
     dim = rho0.shape[0]
+    if dim % 2:
+        raise ValueError(f"rho0 dimension {dim} is odd; expected 2 * cutoff")
     cutoff = dim // 2
-    diss = _lindblad_ops(rates, cutoff)
     if not callable(hamiltonian):
         h_const = np.asarray(hamiltonian, dtype=complex)
+        if h_const.shape != rho0.shape:
+            raise ValueError(f"hamiltonian shape {h_const.shape} does not match "
+                             f"rho0 shape {rho0.shape}")
         h_of_t = lambda t: h_const
     else:
         h_of_t = hamiltonian
+
+    # Diagonal parts of all four dissipators as one mask on (i, j): the
+    # -1/2 {L'L, rho} terms, qubit dephasing and oscillator dephasing.
+    n = np.tile(np.arange(cutoff, dtype=float), 2)
+    s = np.where(np.arange(dim) // cutoff == QUBIT_E, 1.0, -1.0)  # sigma_z
+    pe = 0.5 * (s + 1.0)
+    mask = (-0.5 * rates.gamma_q_r * np.add.outer(pe, pe)
+            + 0.5 * rates.gamma_q_phi * (np.outer(s, s) - 1.0)
+            - 0.5 * rates.gamma_o_r * np.add.outer(n, n)
+            - 0.5 * rates.gamma_o_phi * np.subtract.outer(n, n) ** 2)
+    # Jumps: sigma- copies |e><e| onto |g><g|; a moves rho[n+1, m+1] to [n, m].
+    e = slice(QUBIT_E * cutoff, (QUBIT_E + 1) * cutoff)
+    g = slice(QUBIT_G * cutoff, (QUBIT_G + 1) * cutoff)
+    root = np.sqrt(np.arange(1.0, cutoff))
+    w_osc = rates.gamma_o_r * root[:, None, None] * root
 
     def rhs(t, y):
         rho = y.reshape(dim, dim)
         h = h_of_t(t)
         dr = -1j * (h @ rho - rho @ h)
-        for g, L, LL in diss:
-            dr += g * (L @ rho @ L.conj().T - 0.5 * (LL @ rho + rho @ LL))
+        dr += mask * rho
+        dr[g, g] += rates.gamma_q_r * rho[e, e]
+        dr.reshape(2, cutoff, 2, cutoff)[:, :-1, :, :-1] += (
+            w_osc * rho.reshape(2, cutoff, 2, cutoff)[:, 1:, :, 1:])
         return dr.ravel()
 
     if duration == 0:
@@ -303,17 +315,23 @@ def run_open_protocol(schedule, params: CircuitParams = None,
                       njc_max_step: float = 1e-11):
     """Replay a compiled schedule on the open circuit model.
 
-    Drive steps evolve under the bare qubit drive alone; order-2 exchange
-    steps evolve under the full interaction-picture circuit Hamiltonian,
-    with negative areas folded into a pi coupling phase. Returns
-    (rho, fidelity) where fidelity is sqrt(<target| rho |target>) against
-    the supplied target vector (oscillator amplitudes, qubit in ground),
-    or None when no target is given.
+    The replay starts from schedule.initial. Drive steps evolve under the
+    bare qubit drive alone; order-2 exchange steps evolve under the full
+    interaction-picture circuit Hamiltonian, with negative areas folded
+    into a pi coupling phase. Returns (rho, fidelity) where fidelity is
+    sqrt(<target| rho |target>) against the supplied target vector
+    (oscillator amplitudes, qubit in ground), or None when no target is
+    given.
     """
     params = params or CircuitParams()
     rates = rates or NoiseRates()
     if schedule.budget is None:
         raise ValueError("schedule needs a coupling budget for step durations")
+    if len(schedule.initial) != 2:
+        raise ValueError("open-system replay handles single-oscillator schedules")
+    qubit0, level0 = schedule.initial
+    if not 0 <= level0 < cutoff:
+        raise ValueError(f"initial Fock level {level0} is outside cutoff {cutoff}")
     omega = schedule.budget.omega
     gen = InteractionPictureGenerator(params, cutoff)
     dim = 2 * cutoff
@@ -322,8 +340,8 @@ def run_open_protocol(schedule, params: CircuitParams = None,
     io = np.eye(cutoff, dtype=complex)
 
     rho = np.zeros((dim, dim), dtype=complex)
-    g0 = QUBIT_G * cutoff
-    rho[g0, g0] = 1.0
+    i0 = qubit0 * cutoff + level0
+    rho[i0, i0] = 1.0
 
     for step in schedule.steps:
         if step.kind == "drive":
@@ -349,6 +367,7 @@ def run_open_protocol(schedule, params: CircuitParams = None,
         tamps = np.asarray(target.amplitudes if hasattr(target, "amplitudes")
                            else target, dtype=complex).reshape(-1)
         m = min(len(tamps), cutoff)
+        g0 = QUBIT_G * cutoff
         tvec[g0: g0 + m] = tamps[:m]
         fid = fidelity(rho, tvec)
     return rho, fid

@@ -7,9 +7,13 @@ import os
 import numpy as np
 import pytest
 
+from oscsynth import opensystem
 from oscsynth.cli import main, parse_budget_file
+from oscsynth.fockspace import make_space
+from oscsynth.gates import PulseStep
 from oscsynth.planner import time_symmetric
-from oscsynth.synthesis import CouplingBudget, schedule_from_json
+from oscsynth.synthesis import (CouplingBudget, PulseSchedule, schedule_from_json,
+                                schedule_to_json)
 
 
 def test_help_exits_zero(capsys):
@@ -178,3 +182,33 @@ def test_open_sim_drive_only_schedule(tmp_path, capsys):
     assert lines[0] == "row,col,re,im"
     manifest = json.loads((tmp_path / "rho.csv.manifest.json").read_text())
     assert str(sched_path) in manifest["input_digests"]
+
+
+def test_open_sim_wigner_replays_once(tmp_path, monkeypatch):
+    # one drive and one short exchange pulse give a non-vacuum oscillator
+    sched = PulseSchedule(
+        steps=[PulseStep("drive", math.pi / 4, 0.0),
+               PulseStep("njc", 0.3, 0.0, osc_index=0, order=2)],
+        space=make_space([6]), budget=CouplingBudget())
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(schedule_to_json(sched))
+    calls = []
+    real = opensystem.run_open_protocol
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(opensystem, "run_open_protocol", counting)
+    wig = tmp_path / "w.csv"
+    assert main(["open-sim", "--schedule", str(sched_path), "--cutoff", "6",
+                 "--wigner", str(wig), "--wigner-points", "21",
+                 "--out", str(tmp_path / "rho.csv")]) == 0
+    assert len(calls) == 1
+    # the grid equals the open-replay grid of wigner_comparison, byte for byte
+    _, w_open, _ = opensystem.wigner_comparison(
+        schedule_from_json(sched_path.read_text()), opensystem.CircuitParams(),
+        opensystem.NoiseRates(), *[np.linspace(-4, 4, 21)] * 2, cutoff=6)
+    ref = tmp_path / "ref.csv"
+    w_open.to_csv(ref)
+    assert wig.read_bytes() == ref.read_bytes()

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from oscsynth import opensystem
 from oscsynth.fockspace import QUBIT_E, QUBIT_G, make_space
 from oscsynth.gates import PulseStep, njc_propagator
 from oscsynth.opensystem import (
@@ -21,9 +23,121 @@ from oscsynth.opensystem import (
     load_rates,
     run_open_protocol,
 )
-from oscsynth.synthesis import CouplingBudget, PulseSchedule
+from oscsynth.synthesis import CouplingBudget, PulseSchedule, apply_schedule
 
 TWO_PI = 2 * math.pi
+
+
+def _lindblad_ops(rates, cutoff):
+    """Dense reference dissipators: (rate, L, L'L) per nonzero rate."""
+    d = cutoff
+    a = _ladder(d)
+    i2 = np.eye(2, dtype=complex)
+    io = np.eye(d, dtype=complex)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    s_minus = np.zeros((2, 2), dtype=complex)
+    s_minus[QUBIT_G, QUBIT_E] = 1.0
+    ops = [
+        (rates.gamma_q_r, np.kron(s_minus, io)),
+        (rates.gamma_q_phi / 2.0, np.kron(sz, io)),
+        (rates.gamma_o_r, np.kron(i2, a)),
+        (rates.gamma_o_phi, np.kron(i2, a.conj().T @ a)),
+    ]
+    return [(g, L, L.conj().T @ L) for g, L in ops if g > 0]
+
+
+def dense_rhs(h, rho, diss):
+    dr = -1j * (h @ rho - rho @ h)
+    for g, L, LL in diss:
+        dr += g * (L @ rho @ L.conj().T - 0.5 * (LL @ rho + rho @ LL))
+    return dr
+
+
+def dense_evolve(rho0, h_of_t, rates, duration, max_step):
+    """lindblad_evolve's integration with the dense reference right-hand side."""
+    dim = rho0.shape[0]
+    diss = _lindblad_ops(rates, dim // 2)
+    fun = lambda t, y: dense_rhs(h_of_t(t), y.reshape(dim, dim), diss).ravel()
+    sol = solve_ivp(fun, (0.0, duration), rho0.ravel().astype(complex),
+                    rtol=1e-8, atol=1e-10, max_step=max_step)
+    rho = sol.y[:, -1].reshape(dim, dim)
+    return 0.5 * (rho + rho.conj().T)
+
+
+def spy_integrator(monkeypatch):
+    """Record the (rhs, solution) pairs lindblad_evolve hands to solve_ivp."""
+    seen = []
+
+    def spy(fun, *args, **kw):
+        sol = solve_ivp(fun, *args, **kw)
+        seen.append((fun, sol))
+        return sol
+
+    monkeypatch.setattr(opensystem, "solve_ivp", spy)
+    return seen
+
+
+def random_density(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m + m.conj().T
+    return rho / np.trace(rho).real
+
+
+RATE_CASES = {
+    "q_r": NoiseRates(2e5, 0.0, 0.0, 0.0),
+    "o_r": NoiseRates(0.0, 3e5, 0.0, 0.0),
+    "q_phi": NoiseRates(0.0, 0.0, 5e5, 0.0),
+    "o_phi": NoiseRates(0.0, 0.0, 0.0, 7e5),
+    "all": NoiseRates(2e5, 3e5, 5e5, 7e5),
+}
+
+
+@pytest.mark.parametrize("cutoff", [4, 30])
+@pytest.mark.parametrize("case", sorted(RATE_CASES))
+def test_rhs_matches_dense_dissipators(monkeypatch, cutoff, case):
+    rates = RATE_CASES[case]
+    rng = np.random.default_rng(cutoff)
+    dim = 2 * cutoff
+    h = 1e4 * random_density(rng, dim)
+    seen = spy_integrator(monkeypatch)
+    lindblad_evolve(random_density(rng, dim), h, rates, 1e-12)
+    rhs = seen[0][0]
+    for _ in range(3):
+        rho = random_density(rng, dim)
+        ref = dense_rhs(h, rho, _lindblad_ops(rates, cutoff))
+        got = rhs(0.0, rho.ravel()).reshape(dim, dim)
+        assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-12
+
+
+def test_exchange_pulse_matches_dense_rhs(monkeypatch):
+    cutoff = 8
+    gen = InteractionPictureGenerator(CircuitParams(), cutoff)
+    calls = []
+
+    def hamiltonian(t):
+        calls.append(t)
+        return gen(t, exchange_phase=0.4)
+
+    psi = np.zeros(2 * cutoff, dtype=complex)
+    psi[QUBIT_E * cutoff] = psi[QUBIT_G * cutoff + 2] = math.sqrt(0.5)
+    rho0 = np.outer(psi, psi.conj())
+    seen = spy_integrator(monkeypatch)
+    rho = lindblad_evolve(rho0, hamiltonian, NoiseRates(), 2e-9, max_step=1e-11)
+    assert len(calls) == seen[0][1].nfev  # one H(t) per RHS evaluation
+    ref = dense_evolve(rho0, hamiltonian, NoiseRates(), 2e-9, 1e-11)
+    assert np.abs(rho - ref).max() < 1e-9
+
+
+def test_lindblad_rejects_bad_shapes():
+    rates = NoiseRates()
+    with pytest.raises(ValueError, match="square"):
+        lindblad_evolve(np.eye(4)[:3], np.zeros((4, 4)), rates, 1e-9)
+    with pytest.raises(ValueError, match="square"):
+        lindblad_evolve(np.ones(4), np.zeros((4, 4)), rates, 1e-9)
+    with pytest.raises(ValueError, match="odd"):
+        lindblad_evolve(np.eye(5) / 5, np.zeros((5, 5)), rates, 1e-9)
+    with pytest.raises(ValueError, match="shape"):
+        lindblad_evolve(np.eye(4) / 4, np.zeros((6, 6)), rates, 1e-9)
 
 
 def kron_lab_hamiltonian(params, d):
@@ -189,6 +303,19 @@ def test_run_open_protocol_target_fidelity_sqrt_convention():
                                 cutoff=6, target=vac)
     # sqrt(<g,0| rho |g,0>) = |cos(pi/4)|
     assert fid2 == pytest.approx(math.cos(math.pi / 4), abs=1e-6)
+
+
+def test_run_open_protocol_starts_from_schedule_initial():
+    d = 6
+    sched = PulseSchedule(steps=[PulseStep("drive", 0.7, 0.3)],
+                          space=make_space([d]), budget=CouplingBudget(),
+                          initial=(QUBIT_G, 1))
+    rho, _ = run_open_protocol(sched, CircuitParams(),
+                               NoiseRates(0.0, 0.0, 0.0, 0.0), cutoff=d)
+    psi = apply_schedule(sched, sched.space.basis_state(*sched.initial))
+    assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-7
+    with pytest.raises(ValueError, match="cutoff"):
+        run_open_protocol(sched, CircuitParams(), NoiseRates(), cutoff=1)
 
 
 def test_run_open_protocol_rejects_unsupported_orders():
