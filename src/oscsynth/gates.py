@@ -9,13 +9,20 @@ mixes each pair {|e,l>, |g,l+n>} with angle |area| * xi(l+n, n).
 Pulse areas are signed dimensionless products (coupling magnitude times step
 duration). A negative area is physically a phase flip: (area, phase) and
 (-area, phase + pi) generate the same propagator.
+
+Every step is therefore a set of 2x2 rotations on disjoint (|e>, |g>) index
+pairs. Replays and compilers apply steps through the pair-rotation kernel
+(step_pairs, RotationPlan), which costs O(dim) per step; the dense builders
+(selective_drive_propagator, njc_propagator, step_propagator) are the
+reference it is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -48,6 +55,11 @@ class PulseStep:
 
     selectivity: tuple of Fock labels, one per oscillator, or None for a
     plain (unconditional) drive. Only drives may be selective.
+
+    pair_level: tuple of Fock labels, one per oscillator, naming the |e>
+    side of the one pair an ideal-pair replay of this njc step rotates, or
+    None for a step that rotates every pair under either semantics. Only
+    njc steps carry one.
     """
 
     kind: str  # "drive" | "njc"
@@ -56,6 +68,7 @@ class PulseStep:
     osc_index: Optional[int] = None  # njc only
     order: Optional[int] = None  # njc only
     selectivity: Optional[tuple] = None  # drive only
+    pair_level: Optional[tuple] = None  # njc only
 
     def __post_init__(self):
         if self.kind not in ("drive", "njc"):
@@ -74,6 +87,10 @@ class PulseStep:
         object.__setattr__(self, "phase", ph)
         if self.selectivity is not None:
             object.__setattr__(self, "selectivity", tuple(int(l) for l in self.selectivity))
+        if self.pair_level is not None:
+            if self.kind != "njc":
+                raise ValueError("only njc steps carry a pair_level")
+            object.__setattr__(self, "pair_level", tuple(int(l) for l in self.pair_level))
 
 
 def _canonical(area: float, phase: float):
@@ -220,19 +237,13 @@ def _joint_index(space, qubit_level, osc_index, level, other_labels):
     return space.index(qubit_level, *labels)
 
 
-def apply_step(space: TruncatedSpace, step: PulseStep, state: np.ndarray,
-               semantics: str = "exact", pair_level: Optional[int] = None) -> np.ndarray:
-    """Apply one step's propagator to a state vector."""
-    return step_propagator(space, step, semantics=semantics, pair_level=pair_level) @ state
-
-
 def step_propagator(space: TruncatedSpace, step: PulseStep,
                     semantics: str = "exact", pair_level: Optional[int] = None) -> np.ndarray:
+    """Dense propagator of one step; pair_level, when given, overrides the
+    step's own. The reference the pair-rotation kernel is checked against."""
     if step.kind == "drive":
         return selective_drive_propagator(space, step.area, step.phase, step.selectivity)
-    lvl = pair_level
-    if lvl is None:
-        lvl = getattr(step, "pair_level", None)
+    lvl = step.pair_level if pair_level is None else pair_level
     if semantics == "exact" or lvl is None:
         # steps without a pair annotation (base-state ladder pulses) always
         # use the exact block propagator; only annotated climbing steps can
@@ -241,6 +252,121 @@ def step_propagator(space: TruncatedSpace, step: PulseStep,
                               semantics="exact")
     return njc_propagator(space, step.osc_index, step.order, step.area, step.phase,
                           semantics="ideal-pair", pair_level=lvl)
+
+
+# ---------------------------------------------------------------------------
+# pair-rotation kernel
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """Every pair {|e,l,...>, |g,l+n,...>} of one oscillator at order n, in
+    flat-index order of the |e> side. Order 0 gives the pairs {|e,o>, |g,o>}
+    a plain drive rotates."""
+
+    eg: np.ndarray  # (2, pairs): flat indices of the |e> and |g> sides
+    weights: np.ndarray  # xi(l+n, n): a pair turns by area * weight
+    levels: np.ndarray  # l
+
+
+@functools.lru_cache(maxsize=64)
+def pair_table(space: TruncatedSpace, osc_index: int, n: int) -> PairTable:
+    """The pair table of oscillator osc_index at order n, built once per
+    (space, osc_index, n); its arrays are read-only."""
+    d = space.osc_cutoffs[osc_index]
+    if not 0 <= n < d:
+        raise DimensionError(f"pair order {n} must satisfy 0 <= n < cutoff {d}")
+    od = space.osc_dim
+    levels = np.indices(space.osc_cutoffs).reshape(space.n_osc, -1)[osc_index]
+    flat = np.flatnonzero(levels < d - n)
+    stride = od // math.prod(space.osc_cutoffs[: osc_index + 1])
+    levels = levels[flat]
+    weights = np.array([xi(l + n, n) for l in range(d - n)])[levels]
+    table = PairTable(np.stack([QUBIT_E * od + flat, QUBIT_G * od + flat + n * stride]),
+                      weights, levels)
+    for arr in (table.eg, table.weights, table.levels):
+        arr.flags.writeable = False
+    return table
+
+
+def step_pairs(space: TruncatedSpace, step: PulseStep, semantics: str = "exact",
+               pair_level=None):
+    """(eg, weights): the pairs one step rotates, with step_propagator's
+    semantics. A drive rotates every {|e,o>, |g,o>} at weight 1, or only the
+    selected label's; an njc step rotates every order-n pair under exact
+    semantics, and under ideal-pair semantics only the pair at a joint
+    pair_level, or every pair at a scalar one."""
+    if step.kind == "drive":
+        table = pair_table(space, 0, 0)
+        label = step.selectivity
+    else:
+        if step.order < 1:
+            raise DimensionError(f"njc order {step.order} must be >= 1")
+        table = pair_table(space, step.osc_index, step.order)
+        label = step.pair_level if pair_level is None else pair_level
+        if semantics == "exact":
+            label = None
+        elif label is not None and semantics != "ideal-pair":
+            raise ValueError(f"unknown njc semantics {semantics!r}")
+    if label is None:
+        return table.eg, table.weights
+    if isinstance(label, (tuple, list)):
+        if len(label) != space.n_osc:
+            raise DimensionError("pair label needs one Fock level per oscillator")
+        keep = table.eg[0] == space.index(QUBIT_E, *label)
+    else:
+        keep = table.levels == int(label)
+    if not keep.any():
+        raise DimensionError(f"no order-{step.order} pair at level {label} within the cutoffs")
+    return table.eg[:, keep], table.weights[keep]
+
+
+class RotationPlan:
+    """The pair-rotation kernel: the pairs of a step sequence (step_pairs,
+    with its semantics and pair_level), gathered once and replayed for any
+    areas and phases.
+
+    Step k turns each of its pairs (x_e, x_g) by angle areas[k] * weight with
+    drive_propagator's matrix at phases[k]: x_e <- c x_e + off x_g and
+    x_g <- c x_g - conj(off) x_e, where c = cos and off = -i e^{i phase} sin.
+    The signed area enters directly, so negating it gives exactly the
+    inverse rotation.
+    """
+
+    def __init__(self, space: TruncatedSpace, steps, semantics: str = "exact",
+                 pair_level=None):
+        pairs = [step_pairs(space, s, semantics, pair_level) for s in steps]
+        self._dim = space.dim
+        self._counts = np.array([len(w) for _, w in pairs], dtype=int)
+        self._weights = np.concatenate([w for _, w in pairs]) if pairs else np.zeros(0)
+        ends = np.cumsum(self._counts)
+        self._spans = [(eg, slice(end - len(w), end)) for (eg, w), end in zip(pairs, ends)]
+
+    def apply(self, state: np.ndarray, areas, phases) -> np.ndarray:
+        """Rotate the complex vector state in place, step by step; returns it."""
+        if state.shape != (self._dim,):
+            raise DimensionError(f"state shape {state.shape} does not match dimension {self._dim}")
+        theta = np.repeat(areas, self._counts) * self._weights
+        cos = np.cos(theta)
+        off = -1j * np.sin(theta) * np.exp(1j * np.repeat(phases, self._counts))
+        off = np.stack([off, -off.conj()])  # <e|U|g> over <g|U|e>
+        for eg, k in self._spans:
+            x = state[eg]
+            state[eg] = cos[k] * x + off[:, k] * x[::-1]
+        return state
+
+
+def apply_step(space: TruncatedSpace, step: PulseStep, state: np.ndarray,
+               semantics: str = "exact", pair_level: Optional[int] = None) -> np.ndarray:
+    """One step applied to a copy of state through the pair-rotation kernel."""
+    plan = RotationPlan(space, [step], semantics, pair_level)
+    return plan.apply(np.array(state, dtype=complex), [step.area], [step.phase])
+
+
+def undo_step(space: TruncatedSpace, step: PulseStep, state: np.ndarray,
+              semantics: str = "exact") -> np.ndarray:
+    """The inverse of apply_step: the same rotation with its area negated."""
+    return apply_step(space, replace(step, area=-step.area), state, semantics)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fockspace import QUBIT_E, QUBIT_G, TruncatedSpace, make_space
-from .gates import PulseStep, njc_propagator, selective_drive_propagator, xi
-from .synthesis import (CouplingBudget, PulseSchedule, _NjcWithPair,
-                        _solve_kill_angle, replay_fidelity)
+from .gates import PulseStep, apply_step, undo_step, xi
+from .synthesis import CouplingBudget, PulseSchedule, _solve_kill_angle, replay_fidelity
 from .targets import TargetState
 
 
@@ -40,39 +39,20 @@ def _occupied_levels(amps: np.ndarray, threshold: float = 1e-12):
     return {tuple(int(i) for i in idx) for idx in zip(*np.nonzero(np.abs(amps) > threshold))}
 
 
-def _kill_osc2(state, space, l1, top2, n2, steps_reversed):
-    """Clear |g, l1, top2> with a full order-n2 swap down to |e, l1, top2-n2>
-    followed by a joint-selective drive folding it into the ground manifold."""
-    src2 = top2 - n2
-    area = (math.pi / 2.0) / xi(top2, n2)
-    q = njc_propagator(space, 1, n2, area, 0.0, semantics="ideal-pair",
-                       pair_level=(l1, src2))
-    state = q.conj().T @ state
-    c_e = state[space.index(QUBIT_E, l1, src2)]
-    c_g = state[space.index(QUBIT_G, l1, src2)]
+def _kill(state, space, osc_index, src, n, steps_reversed):
+    """Clear |g, top> (top = src raised by n on oscillator osc_index) with a
+    full order-n swap down to |e, src>, followed by a joint-selective drive
+    folding it into |g, src>."""
+    top = src[osc_index] + n
+    swap = PulseStep("njc", (math.pi / 2.0) / xi(top, n), 0.0,
+                     osc_index=osc_index, order=n, pair_level=src)
+    state = undo_step(space, swap, state, "ideal-pair")
+    c_e = state[space.index(QUBIT_E, *src)]
+    c_g = state[space.index(QUBIT_G, *src)]
     y, chi = _solve_kill_angle(c_e, c_g)
-    c = selective_drive_propagator(space, y, chi, (l1, src2))
-    state = c.conj().T @ state
-    steps_reversed.append(_NjcWithPair(
-        PulseStep("njc", area, 0.0, osc_index=1, order=n2), (l1, src2)))
-    steps_reversed.append(PulseStep("drive", y, chi, selectivity=(l1, src2)))
-    return state
-
-
-def _kill_osc1(state, space, top1, l2, n1, steps_reversed):
-    src1 = top1 - n1
-    area = (math.pi / 2.0) / xi(top1, n1)
-    q = njc_propagator(space, 0, n1, area, 0.0, semantics="ideal-pair",
-                       pair_level=(src1, l2))
-    state = q.conj().T @ state
-    c_e = state[space.index(QUBIT_E, src1, l2)]
-    c_g = state[space.index(QUBIT_G, src1, l2)]
-    y, chi = _solve_kill_angle(c_e, c_g)
-    c = selective_drive_propagator(space, y, chi, (src1, l2))
-    state = c.conj().T @ state
-    steps_reversed.append(_NjcWithPair(
-        PulseStep("njc", area, 0.0, osc_index=0, order=n1), (src1, l2)))
-    steps_reversed.append(PulseStep("drive", y, chi, selectivity=(src1, l2)))
+    drive = PulseStep("drive", y, chi, selectivity=src)
+    state = undo_step(space, drive, state)
+    steps_reversed += [swap, drive]
     return state
 
 
@@ -98,7 +78,7 @@ def _invert_stages(state, space, n1, n2, threshold=1e-12):
                     h = j
                 j += 1
             for j in range(h, 0, -1):
-                state = _kill_osc2(state, space, l1, j * n2 + k2, n2, steps_reversed)
+                state = _kill(state, space, 1, (l1, (j - 1) * n2 + k2), n2, steps_reversed)
 
     # oscillator-1 stage: support here is confined to osc-2 base columns
     for k2 in range(n2 - 1, -1, -1):
@@ -110,7 +90,7 @@ def _invert_stages(state, space, n1, n2, threshold=1e-12):
                     h = j
                 j += 1
             for j in range(h, 0, -1):
-                state = _kill_osc1(state, space, j * n1 + k1, k2, n1, steps_reversed)
+                state = _kill(state, space, 0, ((j - 1) * n1 + k1, k2), n1, steps_reversed)
 
     return state, steps_reversed
 
@@ -188,15 +168,11 @@ def invert_two_oscillator(target: TargetState, orders: tuple,
 
 
 def intermediate_states(schedule: TwoOscSchedule, semantics: str = None):
-    """Forward state after each step pair (drive + njc), starting state first."""
-    from .synthesis import apply_schedule
-    from . import gates
+    """Forward state after each step, starting state first."""
     semantics = semantics or schedule.semantics
-    state = schedule.space.basis_state(*schedule.initial)
-    out = [state.copy()]
+    out = [schedule.space.basis_state(*schedule.initial)]
     for step in schedule.steps:
-        state = gates.step_propagator(schedule.space, step, semantics=semantics) @ state
-        out.append(state.copy())
+        out.append(apply_step(schedule.space, step, out[-1], semantics))
     return out
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
 
 from .fockspace import QUBIT_E, QUBIT_G, fidelity, make_space, wigner
 
@@ -296,12 +296,17 @@ def lindblad_evolve(rho0: np.ndarray, hamiltonian, rates: NoiseRates,
     kw = {"rtol": rtol, "atol": atol}
     if max_step is not None:
         kw["max_step"] = max_step
-    sol = solve_ivp(rhs, (0.0, duration), rho0.ravel().astype(complex), **kw)
-    if not sol.success:
+    # step the integrator directly: only the current rho is kept, not one
+    # per accepted step
+    solver = RK45(rhs, 0.0, rho0.ravel().astype(complex), duration, **kw)
+    message = None
+    while solver.status == "running":
+        message = solver.step()
+    if solver.status == "failed":
         raise IntegrationError(
-            f"master-equation integration failed at t = {sol.t[-1]:.3e} s: "
-            f"{sol.message}", t=sol.t[-1])
-    rho = sol.y[:, -1].reshape(dim, dim)
+            f"master-equation integration failed at t = {solver.t:.3e} s: "
+            f"{message}", t=solver.t)
+    rho = solver.y.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if abs(tr - np.trace(rho0).real) > 1e-8:

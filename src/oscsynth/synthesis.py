@@ -24,7 +24,7 @@ import numpy as np
 
 from . import gates
 from .fockspace import QUBIT_E, QUBIT_G, TruncatedSpace, fidelity, make_space
-from .gates import PulseStep, njc_propagator, selective_drive_propagator, xi
+from .gates import PulseStep, undo_step, xi
 from .targets import TargetState
 
 TWOPI = 2.0 * math.pi
@@ -87,12 +87,10 @@ def schedule_duration(schedule: PulseSchedule, budget: CouplingBudget = None) ->
 
 def apply_schedule(schedule: PulseSchedule, initial: np.ndarray,
                    semantics: str = None) -> np.ndarray:
-    """Forward replay: apply each step's propagator in order."""
-    semantics = semantics or schedule.semantics
-    state = np.asarray(initial, dtype=complex).copy()
-    for step in schedule.steps:
-        state = gates.step_propagator(schedule.space, step, semantics=semantics) @ state
-    return state
+    """Forward replay: apply each step in order through the pair-rotation kernel."""
+    plan = gates.RotationPlan(schedule.space, schedule.steps, semantics or schedule.semantics)
+    return plan.apply(np.array(initial, dtype=complex),
+                      [s.area for s in schedule.steps], [s.phase for s in schedule.steps])
 
 
 def _initial_vector(schedule: PulseSchedule) -> np.ndarray:
@@ -103,7 +101,11 @@ def replay_fidelity(schedule: PulseSchedule, target: TargetState,
                     semantics: str = None) -> float:
     """Fidelity of the forward replay against the target, qubit in |g>."""
     out = apply_schedule(schedule, _initial_vector(schedule), semantics=semantics)
-    space = schedule.space
+    return fidelity(out, _target_vector(schedule.space, target))
+
+
+def _target_vector(space: TruncatedSpace, target: TargetState) -> np.ndarray:
+    """The target's amplitudes on |g> in the flat basis of space."""
     tamps = np.asarray(target.amplitudes)
     if tamps.ndim != space.n_osc:
         raise ValueError("target oscillator count does not match the schedule space")
@@ -116,7 +118,7 @@ def replay_fidelity(schedule: PulseSchedule, target: TargetState,
     od = space.osc_dim
     tvec = np.zeros(space.dim, dtype=complex)
     tvec[QUBIT_G * od : (QUBIT_G + 1) * od] = grid.reshape(-1)
-    return fidelity(out, tvec)
+    return tvec
 
 
 def _solve_kill_angle(c_kill: complex, c_keep: complex):
@@ -134,7 +136,9 @@ def _solve_kill_angle(c_kill: complex, c_keep: complex):
     if abs(c_keep) < 1e-14:
         return math.pi / 2.0, 0.0
     ratio = 1j * c_kill / c_keep
-    if abs(ratio.imag) <= 1e-9 * abs(ratio):
+    # real up to rounding only: dropping a larger imaginary part leaves a
+    # kill residual the 1e-10 inversion checks can see
+    if abs(ratio.imag) <= 1e-12 * abs(ratio):
         return math.atan(ratio.real), 0.0
     return math.atan(abs(ratio)), math.atan2(ratio.imag, ratio.real)
 
@@ -174,22 +178,20 @@ def invert_symmetric(target: TargetState, n: int,
         c_g = state[space.index(QUBIT_G, top)]
         c_e = state[space.index(QUBIT_E, src)]
         theta, chi = _solve_kill_angle(c_g, c_e)
-        area = theta / xi(top, n)
-        q = njc_propagator(space, 0, n, area, -chi, semantics="exact")
-        state = q.conj().T @ state
+        swap = PulseStep("njc", theta / xi(top, n), -chi, osc_index=0, order=n)
+        state = undo_step(space, swap, state)
         if abs(state[space.index(QUBIT_G, top)]) > 1e-10:
             raise RuntimeError(f"failed to clear |g,{top}> during inversion")
 
         c_e2 = state[space.index(QUBIT_E, src)]
         c_g2 = state[space.index(QUBIT_G, src)]
         y, chi2 = _solve_kill_angle(c_e2, c_g2)
-        c = selective_drive_propagator(space, y, chi2, None)
-        state = c.conj().T @ state
+        drive = PulseStep("drive", y, chi2)
+        state = undo_step(space, drive, state)
         if abs(state[space.index(QUBIT_E, src)]) > 1e-10:
             raise RuntimeError(f"failed to clear |e,{src}> during inversion")
 
-        steps_reversed.append(PulseStep("njc", area, -chi, osc_index=0, order=n))
-        steps_reversed.append(PulseStep("drive", y, chi2))
+        steps_reversed += [swap, drive]
 
     residual = abs(state[space.index(QUBIT_G, offset)])
     if residual < 1.0 - 1e-9:
@@ -245,16 +247,15 @@ def ftp_schedule(target: TargetState, n: int,
             top = j * n + k
             src = top - n
             # full swap clears the whole top amplitude (nothing is parked in |e>)
-            area = (math.pi / 2.0) / xi(top, n)
-            q = njc_propagator(space, 0, n, area, 0.0, semantics="ideal-pair", pair_level=src)
-            state = q.conj().T @ state
+            swap = PulseStep("njc", (math.pi / 2.0) / xi(top, n), 0.0,
+                             osc_index=0, order=n, pair_level=(src,))
+            state = undo_step(space, swap, state, "ideal-pair")
             c_e = state[space.index(QUBIT_E, src)]
             c_g = state[space.index(QUBIT_G, src)]
             y, chi = _solve_kill_angle(c_e, c_g)
-            c = selective_drive_propagator(space, y, chi, (src,))
-            state = c.conj().T @ state
-            climb_reversed.append(PulseStep("njc", area, 0.0, osc_index=0, order=n))
-            climb_reversed.append(PulseStep("drive", y, chi, selectivity=(src,)))
+            drive = PulseStep("drive", y, chi, selectivity=(src,))
+            state = undo_step(space, drive, state)
+            climb_reversed += [swap, drive]
 
     # what is left is the base superposition over Fock 0..n-1 in |g>
     base_vec = np.array([state[space.index(QUBIT_G, l)] for l in range(n)])
@@ -272,47 +273,8 @@ def ftp_schedule(target: TargetState, n: int,
         semantics=semantics,
         initial=(QUBIT_G, 0),
     )
-    # climbing drives need their pair levels for ideal-pair replay; the njc
-    # steps recover them from the preceding selective drive
-    schedule.steps = _attach_pair_levels(schedule.steps)
     schedule.fidelity = replay_fidelity(schedule, target, semantics=semantics)
     return schedule
-
-
-def _attach_pair_levels(steps):
-    """Copy each selective drive's level onto the following njc step so that
-    ideal-pair replay knows which pair to rotate."""
-    out = []
-    last_sel = None
-    for step in steps:
-        if step.kind == "drive":
-            last_sel = step.selectivity
-            out.append(step)
-        else:
-            if step.selectivity is None and last_sel is not None:
-                # stash on a parallel attribute-free channel: rebuild the step
-                # with the selection recorded for replay via step_propagator
-                out.append(_NjcWithPair(step, last_sel))
-            else:
-                out.append(step)
-            last_sel = None
-    return out
-
-
-class _NjcWithPair(PulseStep):
-    """An njc step that remembers its source pair level for ideal-pair replay."""
-
-    def __new__(cls, step: PulseStep, sel):
-        return object.__new__(cls)
-
-    def __init__(self, step: PulseStep, sel):
-        object.__setattr__(self, "kind", step.kind)
-        object.__setattr__(self, "area", step.area)
-        object.__setattr__(self, "phase", step.phase)
-        object.__setattr__(self, "osc_index", step.osc_index)
-        object.__setattr__(self, "order", step.order)
-        object.__setattr__(self, "selectivity", None)
-        object.__setattr__(self, "pair_level", tuple(sel))
 
 
 def refine_schedule(schedule: PulseSchedule, target: TargetState,
@@ -323,36 +285,28 @@ def refine_schedule(schedule: PulseSchedule, target: TargetState,
     from scipy.optimize import minimize
 
     steps = schedule.steps
+    # the objective replays straight from x on pairs gathered once, through
+    # the same kernel as apply_schedule
+    plan = gates.RotationPlan(schedule.space, steps, semantics)
+    initial = _initial_vector(schedule)
+    tvec = _target_vector(schedule.space, target)
     x0 = np.array([v for s in steps for v in (s.area, s.phase)])
 
-    def rebuild(x):
-        new_steps = []
-        for i, s in enumerate(steps):
-            ns = replace_step(s, area=float(x[2 * i]), phase=float(x[2 * i + 1]))
-            new_steps.append(ns)
-        return replace_schedule(schedule, steps=new_steps)
-
     def objective(x):
-        return 1.0 - replay_fidelity(rebuild(x), target, semantics=semantics)
+        return 1.0 - fidelity(plan.apply(initial.copy(), x[0::2], x[1::2]), tvec)
 
     f0 = objective(x0)
     res = minimize(objective, x0, method="Nelder-Mead",
                    options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12})
     if res.fun < f0:
-        best = rebuild(res.x)
+        best = replace_schedule(schedule, steps=[
+            replace(s, area=float(res.x[2 * i]), phase=float(res.x[2 * i + 1]))
+            for i, s in enumerate(steps)])
         best.fidelity = 1.0 - res.fun
         return best
     out = replace_schedule(schedule, steps=list(steps))
     out.fidelity = 1.0 - f0
     return out
-
-
-def replace_step(step: PulseStep, **kw) -> PulseStep:
-    if isinstance(step, _NjcWithPair):
-        base = PulseStep("njc", kw.get("area", step.area), kw.get("phase", step.phase),
-                         osc_index=step.osc_index, order=step.order)
-        return _NjcWithPair(base, step.pair_level)
-    return replace(step, **kw)
 
 
 def replace_schedule(schedule: PulseSchedule, **kw) -> PulseSchedule:
@@ -381,8 +335,9 @@ def schedule_to_json(schedule: PulseSchedule) -> str:
     """Serialize with fixed field order and 12-significant-digit floats, so
     identical schedules are byte-identical on disk."""
     budget = schedule.budget
-    parts = ['{\n  "version": 1,\n  "space": {"osc_cutoffs": ['
-             + ", ".join(str(d) for d in schedule.space.osc_cutoffs) + "]},"]
+    parts = ['{\n  "version": 2,\n  "space": {"osc_cutoffs": ['
+             + ", ".join(str(d) for d in schedule.space.osc_cutoffs) + "]},",
+             '  "initial": [' + ", ".join(str(int(i)) for i in schedule.initial) + "],"]
     if budget is not None:
         gmap = ", ".join(f'"{k}": {_fmt_float(v)}' for k, v in sorted(budget.g.items()))
         parts.append(f'  "budget": {{"omega_radps": {_fmt_float(budget.omega)}, '
@@ -394,7 +349,7 @@ def schedule_to_json(schedule: PulseSchedule) -> str:
         osc = "null" if s.osc_index is None else str(s.osc_index)
         order = "null" if s.order is None else str(s.order)
         sel = "null"
-        sel_src = s.selectivity if s.selectivity is not None else getattr(s, "pair_level", None)
+        sel_src = s.selectivity if s.selectivity is not None else s.pair_level
         if sel_src is not None:
             sel = "[[" + ", ".join(str(i) for i in sel_src) + "]]"
         step_lines.append(
@@ -411,8 +366,18 @@ def schedule_to_json(schedule: PulseSchedule) -> str:
 
 
 def schedule_from_json(text: str) -> PulseSchedule:
+    """Read a schedule written by schedule_to_json. Version 1 files carry no
+    initial state and start from |g, 0, ...>."""
     data = json.loads(text)
     space = make_space(data["space"]["osc_cutoffs"])
+    version = data.get("version", 1)
+    if version == 1:
+        initial = (QUBIT_G,) + (0,) * space.n_osc
+    elif version == 2:
+        initial = tuple(int(i) for i in data["initial"])
+        space.index(*initial)  # DimensionError on a malformed initial state
+    else:
+        raise ValueError(f"unsupported schedule version {version!r}")
     budget = None
     if data.get("budget"):
         budget = CouplingBudget(
@@ -426,13 +391,12 @@ def schedule_from_json(text: str) -> PulseSchedule:
             steps.append(PulseStep("drive", sd["area"], sd["phase"],
                                    selectivity=tuple(sel[0]) if sel else None))
         else:
-            base = PulseStep("njc", sd["area"], sd["phase"],
-                             osc_index=sd["osc"], order=sd["order"])
-            steps.append(_NjcWithPair(base, tuple(sel[0])) if sel else base)
+            steps.append(PulseStep("njc", sd["area"], sd["phase"], osc_index=sd["osc"],
+                                   order=sd["order"], pair_level=tuple(sel[0]) if sel else None))
     meta = data.get("meta", {})
     sched = PulseSchedule(steps=steps, space=space, budget=budget,
                           target_label=meta.get("target", ""),
                           semantics=meta.get("semantics", "exact"),
-                          initial=(QUBIT_G,) + (0,) * space.n_osc)
+                          initial=initial)
     sched.fidelity = meta.get("fidelity")
     return sched

@@ -1,6 +1,7 @@
 """Tests for pulse primitives: drives, exchange pulses, dispersive selectivity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oscsynth.fockspace import QUBIT_E, QUBIT_G, DimensionError, make_space
 from oscsynth.gates import (
     DispersiveModel,
     PulseStep,
+    apply_step,
     conditional_phase_space_gate,
     conditional_squeezing_via_sidebands,
     drive_propagator,
@@ -20,8 +22,10 @@ from oscsynth.gates import (
     shift_coefficient,
     step_propagator,
     stirling_first,
+    undo_step,
     xi,
 )
+from oscsynth.synthesis import PulseSchedule, apply_schedule
 
 TWO_PI = 2 * math.pi
 
@@ -142,6 +146,10 @@ def test_pulse_step_validation():
         PulseStep(kind="drive", area=float("nan"))
     s = PulseStep(kind="drive", area=0.1, phase=3 * math.pi)
     assert s.phase == pytest.approx(math.pi)
+    with pytest.raises(ValueError):
+        PulseStep(kind="drive", area=0.1, pair_level=(1,))
+    s = PulseStep(kind="njc", area=0.1, osc_index=0, order=2, pair_level=[np.int64(3)])
+    assert s.pair_level == (3,) and type(s.pair_level[0]) is int
 
 
 def test_step_propagator_matches_primitives():
@@ -152,6 +160,90 @@ def test_step_propagator_matches_primitives():
     s2 = PulseStep(kind="njc", area=0.2, phase=0.1, osc_index=0, order=2)
     assert np.allclose(step_propagator(sp, s2),
                        njc_propagator(sp, 0, 2, 0.2, 0.1, semantics="exact"))
+
+
+KERNEL_SPACES = [(4,), (9,), (40,), (8, 8), (5, 7)]
+
+
+def _random_state(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+def _kernel_cases(sp, rng):
+    """(step, semantics, pair_level argument) for every step form on sp:
+    plain and selective drives, exact njc at orders 1-4, ideal-pair njc
+    with a scalar and with a joint pair level, each at a positive and a
+    negative area."""
+    cases = []
+    for area in (0.37, -1.21):
+        phase = float(rng.uniform(-math.pi, math.pi))
+        sel = tuple(int(rng.integers(0, d)) for d in sp.osc_cutoffs)
+        cases.append((PulseStep("drive", area, phase), "exact", None))
+        cases.append((PulseStep("drive", area, phase, selectivity=sel), "exact", None))
+        for osc, d in enumerate(sp.osc_cutoffs):
+            for n in range(1, min(4, d - 1) + 1):
+                step = PulseStep("njc", area, phase, osc_index=osc, order=n)
+                level = int(rng.integers(0, d - n))
+                joint = sel[:osc] + (level,) + sel[osc + 1:]
+                cases.append((step, "exact", None))
+                cases.append((step, "ideal-pair", level))
+                cases.append((replace(step, pair_level=joint), "ideal-pair", None))
+                cases.append((replace(step, pair_level=joint), "exact", None))
+    return cases
+
+
+@pytest.mark.parametrize("cutoffs", KERNEL_SPACES, ids=str)
+def test_kernel_matches_dense_oracle(cutoffs):
+    sp = make_space(cutoffs)
+    rng = np.random.default_rng(sum(cutoffs))
+    for step, semantics, level in _kernel_cases(sp, rng):
+        u = step_propagator(sp, step, semantics=semantics, pair_level=level)
+        psi = _random_state(rng, sp.dim)
+        out = apply_step(sp, step, psi, semantics, pair_level=level)
+        assert np.abs(out - u @ psi).max() < 1e-12, (step, semantics, level)
+        # the same rotation with its area negated is the inverse
+        back = apply_step(sp, replace(step, area=-step.area), out, semantics, pair_level=level)
+        assert np.abs(back - u.conj().T @ out).max() < 1e-12
+        assert np.abs(back - psi).max() < 1e-12
+        if level is None:
+            assert np.abs(undo_step(sp, step, out, semantics) - back).max() == 0.0
+
+
+@pytest.mark.parametrize("cutoffs", KERNEL_SPACES, ids=str)
+@pytest.mark.parametrize("semantics", ["exact", "ideal-pair"])
+def test_schedule_replay_matches_dense_product(cutoffs, semantics):
+    sp = make_space(cutoffs)
+    rng = np.random.default_rng(7 * sum(cutoffs))
+    steps = [step for step, _, level in _kernel_cases(sp, rng) if level is None]
+    rng.shuffle(steps)
+    psi = _random_state(rng, sp.dim)
+    ref = psi
+    for step in steps:
+        ref = step_propagator(sp, step, semantics=semantics) @ ref
+    out = apply_schedule(PulseSchedule(steps=steps, space=sp, semantics=semantics), psi)
+    assert np.abs(out - ref).max() < 1e-12
+    assert np.array_equal(apply_schedule(PulseSchedule(steps=[], space=sp), psi), psi)
+    with pytest.raises(DimensionError):
+        apply_schedule(PulseSchedule(steps=steps, space=sp), np.append(psi, 0.0))
+
+
+@pytest.mark.parametrize("step, level", [
+    (PulseStep("njc", 0.1, osc_index=0, order=6), None),  # order at the cutoff
+    (PulseStep("njc", 0.1, osc_index=0, order=2), 4),  # pair above the cutoff
+    (PulseStep("njc", 0.1, osc_index=0, order=2), -1),
+    (PulseStep("njc", 0.1, osc_index=1, order=2, pair_level=(1, 5)), None),
+    (PulseStep("njc", 0.1, osc_index=1, order=2, pair_level=(1,)), None),
+    (PulseStep("drive", 0.1, selectivity=(1, 9)), None),
+    (PulseStep("drive", 0.1, selectivity=(1,)), None),
+])
+def test_kernel_rejects_what_the_oracle_rejects(step, level):
+    sp = make_space([6, 7]) if step.osc_index == 1 or step.kind == "drive" else make_space([6])
+    psi = np.ones(sp.dim, dtype=complex)
+    with pytest.raises(DimensionError):
+        step_propagator(sp, step, semantics="ideal-pair", pair_level=level)
+    with pytest.raises(DimensionError):
+        apply_step(sp, step, psi, "ideal-pair", pair_level=level)
 
 
 def test_stirling_first_row_four():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 from scipy.linalg import expm
 
 from oscsynth import opensystem
@@ -65,15 +65,15 @@ def dense_evolve(rho0, h_of_t, rates, duration, max_step):
 
 
 def spy_integrator(monkeypatch):
-    """Record the (rhs, solution) pairs lindblad_evolve hands to solve_ivp."""
+    """Record the (rhs, solver) pairs lindblad_evolve hands to RK45."""
     seen = []
 
     def spy(fun, *args, **kw):
-        sol = solve_ivp(fun, *args, **kw)
-        seen.append((fun, sol))
-        return sol
+        solver = RK45(fun, *args, **kw)
+        seen.append((fun, solver))
+        return solver
 
-    monkeypatch.setattr(opensystem, "solve_ivp", spy)
+    monkeypatch.setattr(opensystem, "RK45", spy)
     return seen
 
 
@@ -126,6 +126,19 @@ def test_exchange_pulse_matches_dense_rhs(monkeypatch):
     assert len(calls) == seen[0][1].nfev  # one H(t) per RHS evaluation
     ref = dense_evolve(rho0, hamiltonian, NoiseRates(), 2e-9, 1e-11)
     assert np.abs(rho - ref).max() < 1e-9
+
+
+def test_integration_failure_reports_the_solver_time(monkeypatch):
+    def hamiltonian(t):
+        return np.full((4, 4), np.nan if t > 1e-12 else 0.0)
+
+    seen = spy_integrator(monkeypatch)
+    with pytest.raises(IntegrationError, match="failed at") as err, np.errstate(invalid="ignore"):
+        lindblad_evolve(np.eye(4) / 4, hamiltonian, NoiseRates(), 1e-11)
+    solver = seen[0][1]
+    assert solver.status == "failed"
+    assert err.value.t == solver.t
+    assert 0.0 < err.value.t <= 1e-12
 
 
 def test_lindblad_rejects_bad_shapes():

@@ -1,13 +1,14 @@
 """Tests for schedule compilation, replay, refinement, and serialization."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscsynth.fockspace import QUBIT_G, make_space
+from oscsynth.fockspace import QUBIT_G, DimensionError, make_space
 from oscsynth.gates import PulseStep
 from oscsynth.synthesis import (
     DEFAULT_G,
@@ -47,6 +48,8 @@ def column_target(amps, n, offset=0):
     ),
     st.integers(min_value=0, max_value=2),
 )
+# an amplitude whose phase is off the real axis by 4e-11 rad
+@example(2, [(0.0, 1.0), (0.0, 0.0), (0.0, 0.0), (0.5, 2.1309118004545147e-11), (0.0, 1.0)], 0)
 def test_invert_symmetric_round_trip(n, pairs, offset):
     amps = np.array([re + 1j * im for re, im in pairs])
     if np.linalg.norm(amps) < 1e-3 or abs(amps[-1]) < 1e-3:
@@ -157,6 +160,17 @@ def test_refine_schedule_never_worsens():
     )
 
 
+def test_refine_reports_the_fidelity_of_a_fresh_replay():
+    rng = np.random.default_rng(4)
+    target = TargetState(rng.normal(size=6) + 1j * rng.normal(size=6))
+    sched = ftp_schedule(target, 2)
+    polished = refine_schedule(sched, target, semantics="exact")
+    assert polished.fidelity > replay_fidelity(sched, target, semantics="exact")
+    assert abs(replay_fidelity(polished, target, semantics="exact")
+               - polished.fidelity) < 1e-12
+    assert [s.pair_level for s in polished.steps] == [s.pair_level for s in sched.steps]
+
+
 def test_json_round_trip_preserves_replay():
     sp = make_space([30])
     target = cat_state(sp, 2.0, "2-even", truncate_at=12)
@@ -192,6 +206,63 @@ def test_json_keeps_pair_annotations():
     assert replay_fidelity(back, target, semantics="ideal-pair") == pytest.approx(
         1.0, abs=1e-8
     )
+
+
+def test_json_keeps_the_initial_state():
+    target = TargetState([0, 0.6, 0, 0.8], 2, 1)
+    sched = invert_symmetric(target, 2)
+    back = schedule_from_json(schedule_to_json(sched))
+    assert back.initial == sched.initial == (QUBIT_G, 1)
+    assert replay_fidelity(back, target) == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_json_round_trip_preserves_replay_at_every_offset(data):
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    offset = data.draw(st.integers(min_value=0, max_value=n - 1))
+    amps = np.array(data.draw(st.lists(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=5)))
+    if abs(amps[-1]) < 1e-3:
+        amps[-1] += 0.5
+    sched = invert_symmetric(column_target(amps, n, offset), n)
+    target = column_target(amps, n, offset)
+    back = schedule_from_json(schedule_to_json(sched))
+    assert back.initial == sched.initial
+    assert replay_fidelity(back, target) == pytest.approx(replay_fidelity(sched, target), abs=1e-9)
+
+
+V1_SCHEDULE = """{
+  "version": 1,
+  "space": {"osc_cutoffs": [6]},
+  "budget": null,
+  "steps": [
+    {"kind": "drive", "osc": null, "order": null, "area": 0.3, "phase": 0, "select": [[1]]},
+    {"kind": "njc", "osc": 0, "order": 2, "area": 0.5, "phase": 0.1, "select": [[1]]}
+  ],
+  "meta": {"target": "old", "semantics": "ideal-pair", "fidelity": null, "duration_s": null}
+}
+"""
+
+
+def test_json_reads_version_1_files():
+    sched = schedule_from_json(V1_SCHEDULE)
+    assert sched.initial == (QUBIT_G, 0)
+    assert sched.steps == [
+        PulseStep("drive", 0.3, 0.0, selectivity=(1,)),
+        PulseStep("njc", 0.5, 0.1, osc_index=0, order=2, pair_level=(1,)),
+    ]
+    assert sched.semantics == "ideal-pair" and sched.budget is None
+    assert '"version": 2' in schedule_to_json(sched)
+    data = json.loads(schedule_to_json(sched))
+    assert data["initial"] == [QUBIT_G, 0]
+    data["version"] = 3
+    with pytest.raises(ValueError, match="version"):
+        schedule_from_json(json.dumps(data))
+    data.update(version=2, initial=[QUBIT_G, 6])
+    with pytest.raises(DimensionError):
+        schedule_from_json(json.dumps(data))
 
 
 def test_apply_schedule_pi_pulse():
