@@ -68,7 +68,6 @@ from .opensystem import (
     CircuitParams,
     IntegrationError,
     NoiseRates,
-    hamiltonian_interaction_picture,
     lindblad_evolve,
     run_open_protocol,
     wigner_comparison,

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .fockspace import make_space, ptrace_qubit, wigner
 from .multiosc import ftp_two_oscillator
+from .opensystem import _read_kv_file
 from .planner import (base_step_count, multi_punch_card, punch_card,
                       scaling_table, scaling_table_csv, steps_arbitrary,
                       time_ftp, time_le, time_symmetric, two_oscillator_plan)
@@ -73,29 +74,21 @@ def parse_budget_file(path) -> CouplingBudget:
     """
     omega = None
     g = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad budget line: {raw.strip()!r}")
-            key, val = (p.strip() for p in line.split("=", 1))
-            key = key.lower()
-            if val.endswith("*2pi"):
-                value = float(val[:-4].strip()) * TWOPI
-            elif key.endswith("_radps"):
-                key = key[:-6]
-                value = float(val)
-            else:
-                raise ValueError(
-                    f"budget value for {key!r} needs a *2pi marker or a _radps key")
-            if key == "omega":
-                omega = value
-            elif key.startswith("g") and key[1:].isdigit():
-                g[int(key[1:])] = value
-            else:
-                raise ValueError(f"unknown budget key {key!r}")
+    for key, val in _read_kv_file(path).items():
+        if val.endswith("*2pi"):
+            value = float(val[:-4].strip()) * TWOPI
+        elif key.endswith("_radps"):
+            key = key[:-6]
+            value = float(val)
+        else:
+            raise ValueError(
+                f"budget value for {key!r} needs a *2pi marker or a _radps key")
+        if key == "omega":
+            omega = value
+        elif key.startswith("g") and key[1:].isdigit():
+            g[int(key[1:])] = value
+        else:
+            raise ValueError(f"unknown budget key {key!r}")
     if omega is None:
         omega = DEFAULT_OMEGA
     if not g:

@@ -27,14 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fockspace import (
-    QUBIT_E,
-    QUBIT_G,
-    DimensionError,
-    TruncatedSpace,
-    _embed_osc,
-    _single_ladder,
-)
+from .fockspace import QUBIT_E, QUBIT_G, DimensionError, TruncatedSpace
 
 
 def xi(a: int, b: int) -> float:
@@ -238,20 +231,19 @@ def _joint_index(space, qubit_level, osc_index, level, other_labels):
 
 
 def step_propagator(space: TruncatedSpace, step: PulseStep,
-                    semantics: str = "exact", pair_level: Optional[int] = None) -> np.ndarray:
-    """Dense propagator of one step; pair_level, when given, overrides the
-    step's own. The reference the pair-rotation kernel is checked against."""
+                    semantics: str = "exact") -> np.ndarray:
+    """Dense propagator of one step: the reference the pair-rotation kernel
+    is checked against."""
     if step.kind == "drive":
         return selective_drive_propagator(space, step.area, step.phase, step.selectivity)
-    lvl = step.pair_level if pair_level is None else pair_level
-    if semantics == "exact" or lvl is None:
+    if semantics == "exact" or step.pair_level is None:
         # steps without a pair annotation (base-state ladder pulses) always
         # use the exact block propagator; only annotated climbing steps can
         # be idealized
         return njc_propagator(space, step.osc_index, step.order, step.area, step.phase,
                               semantics="exact")
     return njc_propagator(space, step.osc_index, step.order, step.area, step.phase,
-                          semantics="ideal-pair", pair_level=lvl)
+                          semantics="ideal-pair", pair_level=step.pair_level)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +258,6 @@ class PairTable:
 
     eg: np.ndarray  # (2, pairs): flat indices of the |e> and |g> sides
     weights: np.ndarray  # xi(l+n, n): a pair turns by area * weight
-    levels: np.ndarray  # l
 
 
 @functools.lru_cache(maxsize=64)
@@ -280,51 +271,42 @@ def pair_table(space: TruncatedSpace, osc_index: int, n: int) -> PairTable:
     levels = np.indices(space.osc_cutoffs).reshape(space.n_osc, -1)[osc_index]
     flat = np.flatnonzero(levels < d - n)
     stride = od // math.prod(space.osc_cutoffs[: osc_index + 1])
-    levels = levels[flat]
-    weights = np.array([xi(l + n, n) for l in range(d - n)])[levels]
+    weights = np.array([xi(l + n, n) for l in range(d - n)])[levels[flat]]
     table = PairTable(np.stack([QUBIT_E * od + flat, QUBIT_G * od + flat + n * stride]),
-                      weights, levels)
-    for arr in (table.eg, table.weights, table.levels):
+                      weights)
+    for arr in (table.eg, table.weights):
         arr.flags.writeable = False
     return table
 
 
-def step_pairs(space: TruncatedSpace, step: PulseStep, semantics: str = "exact",
-               pair_level=None):
+def step_pairs(space: TruncatedSpace, step: PulseStep, semantics: str = "exact"):
     """(eg, weights): the pairs one step rotates, with step_propagator's
     semantics. A drive rotates every {|e,o>, |g,o>} at weight 1, or only the
-    selected label's; an njc step rotates every order-n pair under exact
-    semantics, and under ideal-pair semantics only the pair at a joint
-    pair_level, or every pair at a scalar one."""
+    one at its selectivity label; an njc step rotates every order-n pair
+    under exact semantics, and under ideal-pair semantics only the one at
+    its pair_level. A labelled step's single pair comes from space.index."""
     if step.kind == "drive":
-        table = pair_table(space, 0, 0)
-        label = step.selectivity
+        osc, n, label = 0, 0, step.selectivity
     else:
         if step.order < 1:
             raise DimensionError(f"njc order {step.order} must be >= 1")
-        table = pair_table(space, step.osc_index, step.order)
-        label = step.pair_level if pair_level is None else pair_level
-        if semantics == "exact":
-            label = None
-        elif label is not None and semantics != "ideal-pair":
+        osc, n = step.osc_index, step.order
+        label = None if semantics == "exact" else step.pair_level
+        if label is not None and semantics != "ideal-pair":
             raise ValueError(f"unknown njc semantics {semantics!r}")
     if label is None:
+        table = pair_table(space, osc, n)
         return table.eg, table.weights
-    if isinstance(label, (tuple, list)):
-        if len(label) != space.n_osc:
-            raise DimensionError("pair label needs one Fock level per oscillator")
-        keep = table.eg[0] == space.index(QUBIT_E, *label)
-    else:
-        keep = table.levels == int(label)
-    if not keep.any():
-        raise DimensionError(f"no order-{step.order} pair at level {label} within the cutoffs")
-    return table.eg[:, keep], table.weights[keep]
+    e = space.index(QUBIT_E, *label)
+    top = list(label)
+    top[osc] += n
+    return np.array([[e], [space.index(QUBIT_G, *top)]]), np.array([xi(top[osc], n)])
 
 
 class RotationPlan:
     """The pair-rotation kernel: the pairs of a step sequence (step_pairs,
-    with its semantics and pair_level), gathered once and replayed for any
-    areas and phases.
+    with its semantics), gathered once and replayed for any areas and
+    phases.
 
     Step k turns each of its pairs (x_e, x_g) by angle areas[k] * weight with
     drive_propagator's matrix at phases[k]: x_e <- c x_e + off x_g and
@@ -333,9 +315,8 @@ class RotationPlan:
     inverse rotation.
     """
 
-    def __init__(self, space: TruncatedSpace, steps, semantics: str = "exact",
-                 pair_level=None):
-        pairs = [step_pairs(space, s, semantics, pair_level) for s in steps]
+    def __init__(self, space: TruncatedSpace, steps, semantics: str = "exact"):
+        pairs = [step_pairs(space, s, semantics) for s in steps]
         self._dim = space.dim
         self._counts = np.array([len(w) for _, w in pairs], dtype=int)
         self._weights = np.concatenate([w for _, w in pairs]) if pairs else np.zeros(0)
@@ -357,9 +338,9 @@ class RotationPlan:
 
 
 def apply_step(space: TruncatedSpace, step: PulseStep, state: np.ndarray,
-               semantics: str = "exact", pair_level: Optional[int] = None) -> np.ndarray:
+               semantics: str = "exact") -> np.ndarray:
     """One step applied to a copy of state through the pair-rotation kernel."""
-    plan = RotationPlan(space, [step], semantics, pair_level)
+    plan = RotationPlan(space, [step], semantics)
     return plan.apply(np.array(state, dtype=complex), [step.area], [step.phase])
 
 

@@ -26,7 +26,7 @@ from itertools import product as _iproduct
 import numpy as np
 from scipy.integrate import RK45
 
-from .fockspace import QUBIT_E, QUBIT_G, fidelity, make_space, wigner
+from .fockspace import QUBIT_E, QUBIT_G, _single_ladder, fidelity, make_space, wigner
 
 TWOPI = 2.0 * math.pi
 
@@ -91,7 +91,10 @@ _RATE_KEYS = {
 _UNIT = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 
-def _parse_kv(path):
+def _read_kv_file(path) -> dict:
+    """{lower-case key: value text} of a key = value file; # starts a
+    comment, blank lines are skipped, a line without = raises ValueError.
+    Each caller applies its own units."""
     out = {}
     with open(path) as fh:
         for raw in fh:
@@ -101,7 +104,7 @@ def _parse_kv(path):
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.strip()!r}")
             key, val = (p.strip() for p in line.split("=", 1))
-            out[key.lower()] = float(val)
+            out[key.lower()] = val
     return out
 
 
@@ -122,10 +125,11 @@ def load_params(path) -> CircuitParams:
     2 pi factor; *_radps values are taken as-is.
     """
     kw = {}
-    for key, val in _parse_kv(path).items():
+    for key, val in _read_kv_file(path).items():
         base, scale = _split_unit(key)
         if base not in _PARAM_KEYS:
             raise ValueError(f"unknown circuit parameter {key!r}")
+        val = float(val)
         kw[_PARAM_KEYS[base]] = val * scale * TWOPI if scale is not None else val
     return CircuitParams(**kw)
 
@@ -134,23 +138,16 @@ def load_rates(path) -> NoiseRates:
     """Read Lindblad rates from a key = value file. Rates are plain 1/s
     (a 20 kHz entry means 2e4 1/s, no 2 pi factor)."""
     kw = {}
-    for key, val in _parse_kv(path).items():
+    for key, val in _read_kv_file(path).items():
         base, scale = _split_unit(key)
         if base not in _RATE_KEYS:
             raise ValueError(f"unknown rate {key!r}")
-        kw[_RATE_KEYS[base]] = val * (scale if scale is not None else 1.0)
+        kw[_RATE_KEYS[base]] = float(val) * (scale if scale is not None else 1.0)
     return NoiseRates(**kw)
 
 
 # ---------------------------------------------------------------------------
 # interaction-picture generator
-
-
-def _ladder(d):
-    a = np.zeros((d, d), dtype=complex)
-    for k in range(1, d):
-        a[k - 1, k] = math.sqrt(k)
-    return a
 
 
 def _poly_parts(factors, d):
@@ -185,7 +182,7 @@ class InteractionPictureGenerator:
         self.params = params
         self.cutoff = cutoff
         d = cutoff
-        a = _ladder(d)
+        a = _single_ladder(d)
         ad = a.conj().T
         i2 = np.eye(2, dtype=complex)
         sz = np.diag([1.0, -1.0]).astype(complex)  # |e><e| - |g><g|
@@ -230,12 +227,6 @@ class InteractionPictureGenerator:
         h = h + np.tensordot(ph, self._exch_m, axes=1)
         # analytically Hermitian by pairing; symmetrize away rounding dust
         return 0.5 * (h + h.conj().T)
-
-
-def hamiltonian_interaction_picture(params: CircuitParams, t: float,
-                                    cutoff: int = 30) -> np.ndarray:
-    """The circuit Hamiltonian at time t in the interaction picture."""
-    return InteractionPictureGenerator(params, cutoff)(t)
 
 
 # ---------------------------------------------------------------------------

@@ -233,14 +233,11 @@ def multi_base_steps(occ: np.ndarray, n1: int, n2: int) -> int:
 
 
 def time_ftp_two_oscillator(card: MultiPunchCard, budget: CouplingBudget,
-                            base_time: float = None) -> float:
-    """Card-based two-oscillator time: base state, oscillator-1 climbs at the
-    oscillator-2 base levels, then oscillator-2 climbs at every populated
-    oscillator-1 level."""
+                            base_time: float) -> float:
+    """Card-based two-oscillator time: base state (base_time, its
+    preparation time), oscillator-1 climbs at the oscillator-2 base levels,
+    then oscillator-2 climbs at every populated oscillator-1 level."""
     n1, n2 = card.orders
-    if base_time is None:
-        # each base step is one drive plus one linear swap at unit rate
-        base_time = card.base_steps * (PI / budget.omega + 0) + _base_swap_time(card, budget)
     t = base_time
     for k1 in range(card.first_heights.shape[0]):
         for k2 in range(card.first_heights.shape[1]):
@@ -255,23 +252,6 @@ def time_ftp_two_oscillator(card: MultiPunchCard, budget: CouplingBudget,
             for j in range(1, h + 1):
                 t += PI / (budget.g[n2] * xi(j * n2 + k2, n2))
     return t
-
-
-def _base_swap_time(card: MultiPunchCard, budget: CouplingBudget) -> float:
-    """Swap-time part of the base-state preparation (linear interaction).
-
-    The base card's own two-stage structure is not stored, so rebuild the
-    swap costs from the step count structure: base_steps swaps at order 1
-    with the ladder enhancement of each column. The base state only spans
-    levels below (n1, n2), so every swap is a first-step swap except along
-    the oscillator ladders; for the small bases that occur in practice
-    (levels 0..n-1 with n <= 4) each swap moves one photon from level j-1
-    to j, rate g1 * sqrt(j).
-    """
-    # Without the original occupancy we cannot do better than one unit-rate
-    # swap per base step; callers needing exact base accounting pass the
-    # occupancy through two_oscillator_plan() instead.
-    return card.base_steps * PI / budget.g[1]
 
 
 def two_oscillator_plan(target: TargetState, orders: tuple, budget: CouplingBudget):

@@ -1,16 +1,21 @@
 """Pulse-schedule compilation.
 
-Two compilers live here. invert_symmetric handles targets confined to a
-single rotational-symmetry column {k, n+k, 2n+k, ...}: it runs the target
-backwards, alternately removing the top |g, top> amplitude with an order-n
-exchange pulse and folding the freed |e, top-n> amplitude into |g, top-n>
-with a qubit drive, then emits the conjugated steps in forward order.
+Every compiler here runs the target backwards with one kill: an order-n
+exchange pulse moves the top amplitude |g, top> down to |e, top-n>, and a
+qubit drive folds that into |g, top-n> (_kill). A solved kill takes the
+principal-branch exchange angle on every pair and a plain drive; a
+selective kill takes a full swap of the one pair plus a drive selective on
+its Fock label, which is exact under ideal-pair semantics. The conjugated
+steps, replayed in forward order, prepare the target.
 
-ftp_schedule handles arbitrary targets by combining orders: first a linear
-(order-1) sub-schedule prepares the base superposition over Fock 0..n-1,
-then each symmetry column is climbed with selective drives plus order-n
-full swaps (fine-tune-then-populate). Climbing assumes ideal-pair exchange
-semantics; exact-semantics leakage is what refine_schedule cleans up.
+invert_symmetric handles targets confined to a single rotational-symmetry
+column {k, n+k, 2n+k, ...}: one column of solved kills. ftp_schedule
+handles arbitrary targets (fine-tune-then-populate): one climb (_climb,
+selective kills folding the oscillator down to its base levels 0..n-1),
+then an order-1 column of solved kills over the base levels. The
+two-oscillator compiler in multiosc is the same climb applied to each
+oscillator in turn. Exact-semantics leakage of the climbing pulses is what
+refine_schedule cleans up.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import gates
-from .fockspace import QUBIT_E, QUBIT_G, TruncatedSpace, fidelity, make_space
+from .fockspace import QUBIT_E, QUBIT_G, DimensionError, TruncatedSpace, fidelity, make_space
 from .gates import PulseStep, undo_step, xi
 from .targets import TargetState
 
@@ -101,12 +106,13 @@ def replay_fidelity(schedule: PulseSchedule, target: TargetState,
                     semantics: str = None) -> float:
     """Fidelity of the forward replay against the target, qubit in |g>."""
     out = apply_schedule(schedule, _initial_vector(schedule), semantics=semantics)
-    return fidelity(out, _target_vector(schedule.space, target))
+    return fidelity(out, _target_vector(schedule.space, target.amplitudes))
 
 
-def _target_vector(space: TruncatedSpace, target: TargetState) -> np.ndarray:
-    """The target's amplitudes on |g> in the flat basis of space."""
-    tamps = np.asarray(target.amplitudes)
+def _target_vector(space: TruncatedSpace, tamps: np.ndarray) -> np.ndarray:
+    """Target amplitudes (one axis per oscillator) on |g> in the flat basis
+    of space."""
+    tamps = np.asarray(tamps)
     if tamps.ndim != space.n_osc:
         raise ValueError("target oscillator count does not match the schedule space")
     # align each oscillator axis with the space cutoff; support beyond a
@@ -119,6 +125,18 @@ def _target_vector(space: TruncatedSpace, target: TargetState) -> np.ndarray:
     tvec = np.zeros(space.dim, dtype=complex)
     tvec[QUBIT_G * od : (QUBIT_G + 1) * od] = grid.reshape(-1)
     return tvec
+
+
+def _load_target(space: TruncatedSpace, target: TargetState) -> np.ndarray:
+    """The state a compiler inverts: the target on |g>, cut after its
+    highest occupied level on each oscillator, so zero padding past a cutoff
+    is accepted; support at or past a cutoff raises DimensionError."""
+    amps = np.asarray(target.amplitudes)
+    top = np.argwhere(np.abs(amps) > 1e-12).max(axis=0)
+    for l, d in zip(top, space.osc_cutoffs):
+        if l >= d:
+            raise DimensionError(f"target support at Fock level {l} outside cutoff {d}")
+    return _target_vector(space, amps[tuple(slice(0, l + 1) for l in top)])
 
 
 def _solve_kill_angle(c_kill: complex, c_keep: complex):
@@ -143,6 +161,78 @@ def _solve_kill_angle(c_kill: complex, c_keep: complex):
     return math.atan(abs(ratio)), math.atan2(ratio.imag, ratio.real)
 
 
+def _ket(qubit: int, labels) -> str:
+    return ",".join(["eg"[qubit]] + [str(l) for l in labels])
+
+
+def _kill(space: TruncatedSpace, state: np.ndarray, osc_index: int, src: tuple,
+          n: int, selective: bool) -> list:
+    """Undo one (drive, njc) pair on state, in place: clear |g, top> (src
+    raised by n on oscillator osc_index) into |e, src>, then fold |e, src>
+    into |g, src>. Returns the two steps in inversion order.
+
+    A solved kill takes the principal-branch exchange angle on every
+    order-n pair and a plain drive; a selective kill takes a full swap of
+    the one pair at src and a drive selective on src.
+    """
+    top = src[:osc_index] + (src[osc_index] + n,) + src[osc_index + 1:]
+    g_top = space.index(QUBIT_G, *top)
+    e_src = space.index(QUBIT_E, *src)
+    g_src = space.index(QUBIT_G, *src)
+    if selective:
+        # a full swap clears the whole top amplitude (nothing is parked in |e>)
+        swap = PulseStep("njc", (math.pi / 2.0) / xi(top[osc_index], n), 0.0,
+                         osc_index=osc_index, order=n, pair_level=src)
+    else:
+        theta, chi = _solve_kill_angle(state[g_top], state[e_src])
+        swap = PulseStep("njc", theta / xi(top[osc_index], n), -chi,
+                         osc_index=osc_index, order=n)
+    state[:] = undo_step(space, swap, state, "ideal-pair")
+    if abs(state[g_top]) > 1e-10:
+        raise RuntimeError(f"failed to clear |{_ket(QUBIT_G, top)}> during inversion")
+    y, chi = _solve_kill_angle(state[e_src], state[g_src])
+    drive = PulseStep("drive", y, chi, selectivity=src if selective else None)
+    state[:] = undo_step(space, drive, state)
+    if abs(state[e_src]) > 1e-10:
+        raise RuntimeError(f"failed to clear |{_ket(QUBIT_E, src)}> during inversion")
+    return [swap, drive]
+
+
+def _climb(space: TruncatedSpace, state: np.ndarray, osc_index: int, n: int) -> list:
+    """Fold oscillator osc_index down to its base levels 0..n-1 with
+    selective order-n kills, in place, at each label of the other
+    oscillators, highest label first. Within a label the kills go row by
+    row from the top: |g, top> is cleared whenever a level at or above top
+    in its column {top mod n + jn} is occupied. Returns the steps in
+    inversion order."""
+    od = space.osc_dim
+    occupied = np.abs(state[QUBIT_G * od:(QUBIT_G + 1) * od]) > 1e-12
+    occupied = np.moveaxis(occupied.reshape(space.osc_cutoffs), osc_index, -1)
+    steps = []
+    for other in reversed(list(np.ndindex(occupied.shape[:-1]))):
+        # highest occupied level per column (flatnonzero ascends)
+        highest = {l % n: l for l in np.flatnonzero(occupied[other])}
+        for top in range(occupied.shape[-1] - 1, n - 1, -1):
+            if top <= highest.get(top % n, -1):
+                src = other[:osc_index] + (top - n,) + other[osc_index:]
+                steps += _kill(space, state, osc_index, src, n, selective=True)
+    return steps
+
+
+def _compiled(space: TruncatedSpace, state: np.ndarray, steps: list, initial: tuple,
+              target: TargetState, schedule_type: type = PulseSchedule,
+              **fields) -> PulseSchedule:
+    """The schedule replaying the inversion steps forward from initial,
+    once the inverted state is checked to sit there, with its fidelity."""
+    residual = abs(state[space.index(*initial)])
+    if residual < 1.0 - 1e-9:
+        raise RuntimeError("inversion residual too large: "
+                           f"|<{_ket(initial[0], initial[1:])}|state>| = {residual}")
+    schedule = schedule_type(steps=steps[::-1], space=space, initial=initial, **fields)
+    schedule.fidelity = replay_fidelity(schedule, target)
+    return schedule
+
+
 def invert_symmetric(target: TargetState, n: int,
                      space: TruncatedSpace = None,
                      budget: CouplingBudget = None) -> PulseSchedule:
@@ -159,54 +249,19 @@ def invert_symmetric(target: TargetState, n: int,
     if any(abs(a) > 1e-12 and (l - offset) % n for l, a in enumerate(target.amplitudes)):
         raise ValueError(f"target support is not confined to a single order-{n} column")
     top_level = target.max_index
-    amps = target.amplitudes[: top_level + 1]
-    M = max(0, (top_level - offset + n - 1) // n)
     need = max(top_level + n + 1, n + offset + 1)
     if space is None:
         space = make_space([need])
     d = space.osc_cutoffs[0]
     if d < need:
-        raise ValueError(f"cutoff {d} too small; need at least {need}")
+        raise DimensionError(f"cutoff {d} too small; need at least {need}")
 
-    state = np.zeros(space.dim, dtype=complex)
-    state[[space.index(QUBIT_G, l) for l in range(len(amps))]] = amps
-
-    steps_reversed = []
-    for k_step in range(M, 0, -1):
-        top = k_step * n + offset
-        src = top - n
-        c_g = state[space.index(QUBIT_G, top)]
-        c_e = state[space.index(QUBIT_E, src)]
-        theta, chi = _solve_kill_angle(c_g, c_e)
-        swap = PulseStep("njc", theta / xi(top, n), -chi, osc_index=0, order=n)
-        state = undo_step(space, swap, state)
-        if abs(state[space.index(QUBIT_G, top)]) > 1e-10:
-            raise RuntimeError(f"failed to clear |g,{top}> during inversion")
-
-        c_e2 = state[space.index(QUBIT_E, src)]
-        c_g2 = state[space.index(QUBIT_G, src)]
-        y, chi2 = _solve_kill_angle(c_e2, c_g2)
-        drive = PulseStep("drive", y, chi2)
-        state = undo_step(space, drive, state)
-        if abs(state[space.index(QUBIT_E, src)]) > 1e-10:
-            raise RuntimeError(f"failed to clear |e,{src}> during inversion")
-
-        steps_reversed += [swap, drive]
-
-    residual = abs(state[space.index(QUBIT_G, offset)])
-    if residual < 1.0 - 1e-9:
-        raise RuntimeError(f"inversion residual too large: |<g,{offset}|state>| = {residual}")
-
-    schedule = PulseSchedule(
-        steps=list(reversed(steps_reversed)),
-        space=space,
-        budget=budget,
-        target_label=target.label,
-        semantics="exact",
-        initial=(QUBIT_G, offset),
-    )
-    schedule.fidelity = replay_fidelity(schedule, target)
-    return schedule
+    state = _load_target(space, target)
+    steps = []
+    for top in range(top_level, offset, -n):
+        steps += _kill(space, state, 0, (top - n,), n, selective=False)
+    return _compiled(space, state, steps, (QUBIT_G, offset), target, budget=budget,
+                     target_label=target.label, semantics="exact")
 
 
 def ftp_schedule(target: TargetState, n: int,
@@ -215,66 +270,26 @@ def ftp_schedule(target: TargetState, n: int,
                  semantics: str = "ideal-pair") -> PulseSchedule:
     """Fine-tune-then-populate compiler for arbitrary single-oscillator targets.
 
-    Builds the order-1 base sub-schedule over Fock 0..n-1 (n-1 steps), then
-    climbs each symmetry column with a selective drive plus an order-n full
-    swap per row, up to the column's punch-card height. Replay is exact
-    under ideal-pair semantics; under exact semantics bystander levels leak
-    (reported via the returned schedule's fidelity when re-evaluated).
+    Builds the order-1 base over Fock 0..n-1, one pair per level up to the
+    highest occupied base level, then climbs each symmetry column with a
+    selective drive plus an order-n full swap per row, up to the column's
+    punch-card height. Replay is exact under ideal-pair semantics; under
+    exact semantics bystander levels leak (reported via the returned
+    schedule's fidelity when re-evaluated).
     """
     if target.n_osc != 1:
         raise ValueError("ftp_schedule compiles single-oscillator targets")
-    amps = target.amplitudes
-    top_level = target.max_index
     if space is None:
-        space = make_space([max(top_level + n + 1, 2 * n + 1)])
+        space = make_space([max(target.max_index + n + 1, 2 * n + 1)])
+
+    state = _load_target(space, target)
+    steps = _climb(space, state, 0, n)
     d = space.osc_cutoffs[0]
-
-    # column heights: h_k = largest row j with level jn+k occupied
-    heights = [0] * n
-    for l in np.nonzero(np.abs(amps) > 1e-12)[0]:
-        j, k = divmod(int(l), n)
-        heights[k] = max(heights[k], j)
-
-    state = np.zeros(space.dim, dtype=complex)
-    state[[space.index(QUBIT_G, l) for l in range(len(amps))]] = amps
-
-    climb_reversed = []
-    max_h = max(heights) if heights else 0
-    for j in range(max_h, 0, -1):
-        for k in range(n - 1, -1, -1):
-            if heights[k] < j:
-                continue
-            top = j * n + k
-            src = top - n
-            # full swap clears the whole top amplitude (nothing is parked in |e>)
-            swap = PulseStep("njc", (math.pi / 2.0) / xi(top, n), 0.0,
-                             osc_index=0, order=n, pair_level=(src,))
-            state = undo_step(space, swap, state, "ideal-pair")
-            c_e = state[space.index(QUBIT_E, src)]
-            c_g = state[space.index(QUBIT_G, src)]
-            y, chi = _solve_kill_angle(c_e, c_g)
-            drive = PulseStep("drive", y, chi, selectivity=(src,))
-            state = undo_step(space, drive, state)
-            climb_reversed += [swap, drive]
-
-    # what is left is the base superposition over Fock 0..n-1 in |g>
-    base_vec = np.array([state[space.index(QUBIT_G, l)] for l in range(n)])
-    base_steps = []
-    if n > 1:
-        base_target = TargetState(base_vec, 1, 0, label="base")
-        base_sched = invert_symmetric(base_target, 1, space=space)
-        base_steps = base_sched.steps
-
-    schedule = PulseSchedule(
-        steps=base_steps + list(reversed(climb_reversed)),
-        space=space,
-        budget=budget,
-        target_label=target.label,
-        semantics=semantics,
-        initial=(QUBIT_G, 0),
-    )
-    schedule.fidelity = replay_fidelity(schedule, target, semantics=semantics)
-    return schedule
+    base = np.flatnonzero(np.abs(state[QUBIT_G * d:QUBIT_G * d + n]) > 1e-12)
+    for top in range(int(base[-1]), 0, -1):
+        steps += _kill(space, state, 0, (top - 1,), 1, selective=False)
+    return _compiled(space, state, steps, (QUBIT_G, 0), target, budget=budget,
+                     target_label=target.label, semantics=semantics)
 
 
 def refine_schedule(schedule: PulseSchedule, target: TargetState,
@@ -289,7 +304,7 @@ def refine_schedule(schedule: PulseSchedule, target: TargetState,
     # the same kernel as apply_schedule
     plan = gates.RotationPlan(schedule.space, steps, semantics)
     initial = _initial_vector(schedule)
-    tvec = _target_vector(schedule.space, target)
+    tvec = _target_vector(schedule.space, target.amplitudes)
     x0 = np.array([v for s in steps for v in (s.area, s.phase)])
 
     def objective(x):

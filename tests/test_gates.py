@@ -171,25 +171,22 @@ def _random_state(rng, dim):
 
 
 def _kernel_cases(sp, rng):
-    """(step, semantics, pair_level argument) for every step form on sp:
-    plain and selective drives, exact njc at orders 1-4, ideal-pair njc
-    with a scalar and with a joint pair level, each at a positive and a
-    negative area."""
+    """(step, semantics) for every step form on sp: plain and selective
+    drives, exact njc at orders 1-4, and njc with a joint pair level under
+    both semantics, each at a positive and a negative area."""
     cases = []
     for area in (0.37, -1.21):
         phase = float(rng.uniform(-math.pi, math.pi))
         sel = tuple(int(rng.integers(0, d)) for d in sp.osc_cutoffs)
-        cases.append((PulseStep("drive", area, phase), "exact", None))
-        cases.append((PulseStep("drive", area, phase, selectivity=sel), "exact", None))
+        cases.append((PulseStep("drive", area, phase), "exact"))
+        cases.append((PulseStep("drive", area, phase, selectivity=sel), "exact"))
         for osc, d in enumerate(sp.osc_cutoffs):
             for n in range(1, min(4, d - 1) + 1):
                 step = PulseStep("njc", area, phase, osc_index=osc, order=n)
-                level = int(rng.integers(0, d - n))
-                joint = sel[:osc] + (level,) + sel[osc + 1:]
-                cases.append((step, "exact", None))
-                cases.append((step, "ideal-pair", level))
-                cases.append((replace(step, pair_level=joint), "ideal-pair", None))
-                cases.append((replace(step, pair_level=joint), "exact", None))
+                joint = sel[:osc] + (int(rng.integers(0, d - n)),) + sel[osc + 1:]
+                cases.append((step, "exact"))
+                cases.append((replace(step, pair_level=joint), "ideal-pair"))
+                cases.append((replace(step, pair_level=joint), "exact"))
     return cases
 
 
@@ -197,17 +194,16 @@ def _kernel_cases(sp, rng):
 def test_kernel_matches_dense_oracle(cutoffs):
     sp = make_space(cutoffs)
     rng = np.random.default_rng(sum(cutoffs))
-    for step, semantics, level in _kernel_cases(sp, rng):
-        u = step_propagator(sp, step, semantics=semantics, pair_level=level)
+    for step, semantics in _kernel_cases(sp, rng):
+        u = step_propagator(sp, step, semantics=semantics)
         psi = _random_state(rng, sp.dim)
-        out = apply_step(sp, step, psi, semantics, pair_level=level)
-        assert np.abs(out - u @ psi).max() < 1e-12, (step, semantics, level)
+        out = apply_step(sp, step, psi, semantics)
+        assert np.abs(out - u @ psi).max() < 1e-12, (step, semantics)
         # the same rotation with its area negated is the inverse
-        back = apply_step(sp, replace(step, area=-step.area), out, semantics, pair_level=level)
+        back = apply_step(sp, replace(step, area=-step.area), out, semantics)
         assert np.abs(back - u.conj().T @ out).max() < 1e-12
         assert np.abs(back - psi).max() < 1e-12
-        if level is None:
-            assert np.abs(undo_step(sp, step, out, semantics) - back).max() == 0.0
+        assert np.abs(undo_step(sp, step, out, semantics) - back).max() == 0.0
 
 
 @pytest.mark.parametrize("cutoffs", KERNEL_SPACES, ids=str)
@@ -215,7 +211,7 @@ def test_kernel_matches_dense_oracle(cutoffs):
 def test_schedule_replay_matches_dense_product(cutoffs, semantics):
     sp = make_space(cutoffs)
     rng = np.random.default_rng(7 * sum(cutoffs))
-    steps = [step for step, _, level in _kernel_cases(sp, rng) if level is None]
+    steps = [step for step, _ in _kernel_cases(sp, rng)]
     rng.shuffle(steps)
     psi = _random_state(rng, sp.dim)
     ref = psi
@@ -238,12 +234,15 @@ def test_schedule_replay_matches_dense_product(cutoffs, semantics):
     (PulseStep("drive", 0.1, selectivity=(1,)), None),
 ])
 def test_kernel_rejects_what_the_oracle_rejects(step, level):
+    # level, when given, is the one-oscillator step's joint pair level (level,)
+    if level is not None:
+        step = replace(step, pair_level=(level,))
     sp = make_space([6, 7]) if step.osc_index == 1 or step.kind == "drive" else make_space([6])
     psi = np.ones(sp.dim, dtype=complex)
     with pytest.raises(DimensionError):
-        step_propagator(sp, step, semantics="ideal-pair", pair_level=level)
+        step_propagator(sp, step, semantics="ideal-pair")
     with pytest.raises(DimensionError):
-        apply_step(sp, step, psi, "ideal-pair", pair_level=level)
+        apply_step(sp, step, psi, "ideal-pair")
 
 
 def test_stirling_first_row_four():

@@ -17,7 +17,8 @@ from oscsynth.multiosc import (
     invert_two_oscillator,
 )
 from oscsynth.planner import multi_punch_card, two_oscillator_plan
-from oscsynth.synthesis import CouplingBudget, replay_fidelity, schedule_from_json, schedule_to_json
+from oscsynth.synthesis import (CouplingBudget, ftp_schedule, replay_fidelity, schedule_from_json,
+                                schedule_to_json)
 from oscsynth.targets import TargetState, multimode_target
 
 TWO_PI = 2 * math.pi
@@ -109,6 +110,25 @@ def test_forward_replay_builds_oscillator_one_first():
     osc1_steps = [i for i, s in enumerate(sched.steps)
                   if s.kind == "njc" and s.osc_index == 0]
     assert max(osc1_steps) < first
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_single_oscillator_is_the_one_oscillator_case(n):
+    # with oscillator 2 in vacuum, the two-oscillator schedule ends with
+    # exactly ftp_schedule's climbing pulses, labels extended by 0
+    rng = np.random.default_rng(n)
+    vec = rng.normal(size=3 * n + 2) + 1j * rng.normal(size=3 * n + 2)
+    one = ftp_schedule(TargetState(vec), n)
+    two = ftp_two_oscillator(TargetState(np.stack([vec, 0 * vec], axis=1)), (n, 1))
+    climb = [s for s in one.steps if (s.selectivity or s.pair_level) is not None]
+    assert climb and one.steps[-len(climb):] == climb
+    assert len(two.steps) >= len(climb)
+    for got, want in zip(two.steps[-len(climb):], climb):
+        assert (got.kind, got.osc_index, got.order) == (want.kind, want.osc_index, want.order)
+        assert abs(got.area - want.area) < 1e-12 and abs(got.phase - want.phase) < 1e-12
+        for label, one_label in ((got.selectivity, want.selectivity),
+                                 (got.pair_level, want.pair_level)):
+            assert label == (None if one_label is None else one_label + (0,))
 
 
 def test_intermediate_states_stay_normalized():

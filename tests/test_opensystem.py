@@ -8,16 +8,14 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.linalg import expm
 
 from oscsynth import opensystem
-from oscsynth.fockspace import QUBIT_E, QUBIT_G, make_space
+from oscsynth.fockspace import QUBIT_E, QUBIT_G, _single_ladder, make_space
 from oscsynth.gates import PulseStep, njc_propagator
 from oscsynth.opensystem import (
     CircuitParams,
     IntegrationError,
     InteractionPictureGenerator,
     NoiseRates,
-    _ladder,
     density_matrix_to_csv,
-    hamiltonian_interaction_picture,
     lindblad_evolve,
     load_params,
     load_rates,
@@ -31,7 +29,7 @@ TWO_PI = 2 * math.pi
 def _lindblad_ops(rates, cutoff):
     """Dense reference dissipators: (rate, L, L'L) per nonzero rate."""
     d = cutoff
-    a = _ladder(d)
+    a = _single_ladder(d)
     i2 = np.eye(2, dtype=complex)
     io = np.eye(d, dtype=complex)
     sz = np.diag([1.0, -1.0]).astype(complex)
@@ -155,7 +153,7 @@ def test_lindblad_rejects_bad_shapes():
 
 def kron_lab_hamiltonian(params, d):
     """Direct lab-frame construction at t = 0 (all frame phases equal 1)."""
-    a = _ladder(d)
+    a = _single_ladder(d)
     ad = a.conj().T
     x = ad + a
     xm = ad - a
@@ -174,7 +172,7 @@ def kron_lab_hamiltonian(params, d):
 def test_frame_identity_at_t_zero():
     params = CircuitParams()
     d = 12
-    h = hamiltonian_interaction_picture(params, 0.0, cutoff=d)
+    h = InteractionPictureGenerator(params, d)(0.0)
     ref = kron_lab_hamiltonian(params, d)
     scale = np.abs(ref).max()
     assert np.abs(h - ref).max() / scale < 1e-12

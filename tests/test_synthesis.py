@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oscsynth.fockspace import QUBIT_G, DimensionError, make_space
 from oscsynth.gates import PulseStep
+from oscsynth.multiosc import ftp_two_oscillator
 from oscsynth.synthesis import (
     DEFAULT_G,
     DEFAULT_OMEGA,
@@ -108,6 +109,42 @@ def test_ftp_schedule_random_targets(n, top):
     assert replay_fidelity(sched, target, semantics="ideal-pair") == pytest.approx(
         1.0, abs=1e-8
     )
+
+
+def _padded(amps, shape):
+    out = np.zeros(shape, dtype=complex)
+    out[tuple(slice(0, k) for k in np.shape(amps))] = amps
+    return out
+
+
+def test_compilers_accept_zero_padding_past_the_cutoff():
+    # padding is not support: each compiler gives the schedule of the
+    # unpadded target
+    vec = np.array([0.6, 0, 0, 0.48j, 0, 0.64])
+    column = np.array([0.6, 0, 0.8])
+    grid = np.array([[0.6, 0], [0, 0.8]])
+    cases = [
+        (lambda t: ftp_schedule(t, 2, space=make_space([12])), vec, (30,)),
+        (lambda t: invert_symmetric(t, 2, space=make_space([12])), column, (30,)),
+        (lambda t: ftp_two_oscillator(t, (1, 1), space=make_space([4, 4])), grid, (30, 30)),
+    ]
+    for compile_, amps, shape in cases:
+        padded = compile_(TargetState(_padded(amps, shape)))
+        assert padded.steps == compile_(TargetState(amps)).steps
+        assert padded.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_compilers_reject_support_at_the_cutoff():
+    vec = np.zeros(13)
+    vec[[0, 12]] = 1.0
+    grid = np.zeros((5, 4))
+    grid[0, 0] = grid[4, 0] = 1.0
+    with pytest.raises(DimensionError):
+        ftp_schedule(TargetState(vec), 2, space=make_space([12]))
+    with pytest.raises(DimensionError):
+        invert_symmetric(TargetState(vec), 2, space=make_space([12]))
+    with pytest.raises(DimensionError):
+        ftp_two_oscillator(TargetState(grid), (1, 1), space=make_space([4, 4]))
 
 
 def test_replay_fidelity_trims_support_beyond_cutoff():
