@@ -52,7 +52,6 @@ from .planner import (
     scaling_table,
     steps_arbitrary,
     time_ftp,
-    time_ftp_two_oscillator,
     time_le,
     time_symmetric,
     time_two_oscillator,

@@ -23,9 +23,9 @@ from . import __version__
 from .fockspace import make_space, ptrace_qubit, wigner
 from .multiosc import ftp_two_oscillator
 from .opensystem import _read_kv_file
-from .planner import (base_step_count, multi_punch_card, punch_card,
-                      scaling_table, scaling_table_csv, steps_arbitrary,
-                      time_ftp, time_le, time_symmetric, two_oscillator_plan)
+from .planner import (base_step_count, punch_card, scaling_table, scaling_table_csv,
+                      steps_arbitrary, time_ftp, time_le, time_symmetric,
+                      two_oscillator_plan)
 from .synthesis import (DEFAULT_G, DEFAULT_OMEGA, CouplingBudget,
                         ftp_schedule, invert_symmetric, schedule_from_json,
                         schedule_to_json)
@@ -164,7 +164,6 @@ def cmd_plan(args) -> int:
             cutoff = args.cutoff
             space = make_space((cutoff, cutoff))
             target = parse_target(args.target, space=space)
-            card = multi_punch_card(target, orders)
             steps, t_ftp = two_oscillator_plan(target, orders, budget)
             lin_steps, t_lin = two_oscillator_plan(target, (1, 1), budget)
             lines = [

@@ -171,23 +171,16 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Overlap fidelity between a (vector or density matrix) and pure b.
 
     Returns |<b|a>| for a pure state a, and sqrt(<b|a|b>) when a is a
-    density matrix, so the two branches agree on pure inputs. Vectors of
-    different length are compared by zero-padding the shorter one (same
-    oscillator layout assumed: this is only sound for single-oscillator
-    states or identical multi-oscillator cutoffs).
+    density matrix, so the two branches agree on pure inputs. Arguments
+    of different dimension raise DimensionError.
     """
     b = np.asarray(b, dtype=complex)
     a = np.asarray(a, dtype=complex)
+    if a.ndim in (1, 2) and a.shape[0] != b.shape[0]:
+        raise DimensionError(f"state dimensions differ: {a.shape[0]} and {b.shape[0]}")
     if a.ndim == 1:
-        m = max(a.shape[0], b.shape[0])
-        aa = np.zeros(m, dtype=complex)
-        bb = np.zeros(m, dtype=complex)
-        aa[: a.shape[0]] = a
-        bb[: b.shape[0]] = b
-        return float(abs(np.vdot(bb, aa)))
+        return float(abs(np.vdot(b, a)))
     if a.ndim == 2:
-        if a.shape[0] != b.shape[0]:
-            raise DimensionError("density matrix and state dimensions differ")
         val = np.real(np.vdot(b, a @ b))
         return float(math.sqrt(max(val, 0.0)))
     raise DimensionError("first argument must be a vector or a square matrix")

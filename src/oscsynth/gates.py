@@ -11,10 +11,10 @@ duration). A negative area is physically a phase flip: (area, phase) and
 (-area, phase + pi) generate the same propagator.
 
 Every step is therefore a set of 2x2 rotations on disjoint (|e>, |g>) index
-pairs. Replays and compilers apply steps through the pair-rotation kernel
-(step_pairs, RotationPlan), which costs O(dim) per step; the dense builders
-(selective_drive_propagator, njc_propagator, step_propagator) are the
-reference it is tested against.
+pairs. Replays apply steps through the pair-rotation kernel (step_pairs,
+RotationPlan), which costs O(dim) per step, and compilers turn one step's
+pairs in place with rotate; the dense builders (selective_drive_propagator,
+njc_propagator, step_propagator) are the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -337,17 +337,25 @@ class RotationPlan:
         return state
 
 
+def rotate(state: np.ndarray, eg: np.ndarray, weights: np.ndarray, area: float,
+           phase: float) -> np.ndarray:
+    """Turn the pairs eg of state in place, each by angle area * weight,
+    with RotationPlan's matrix at phase; returns state. A negated area
+    turns them back."""
+    theta = area * weights
+    off = -1j * np.sin(theta) * np.exp(1j * phase)
+    x = state[eg]
+    state[eg] = np.cos(theta) * x + np.stack([off, -off.conj()]) * x[::-1]
+    return state
+
+
 def apply_step(space: TruncatedSpace, step: PulseStep, state: np.ndarray,
                semantics: str = "exact") -> np.ndarray:
     """One step applied to a copy of state through the pair-rotation kernel."""
-    plan = RotationPlan(space, [step], semantics)
-    return plan.apply(np.array(state, dtype=complex), [step.area], [step.phase])
-
-
-def undo_step(space: TruncatedSpace, step: PulseStep, state: np.ndarray,
-              semantics: str = "exact") -> np.ndarray:
-    """The inverse of apply_step: the same rotation with its area negated."""
-    return apply_step(space, replace(step, area=-step.area), state, semantics)
+    state = np.array(state, dtype=complex)
+    if state.shape != (space.dim,):
+        raise DimensionError(f"state shape {state.shape} does not match dimension {space.dim}")
+    return rotate(state, *step_pairs(space, step, semantics), step.area, step.phase)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Two-oscillator pulse-schedule compilation.
 
-The single-oscillator engine of synthesis, staged per oscillator: run the
-target backwards, first climbing oscillator 2 down to its base levels at
-every oscillator-1 label, then climbing oscillator 1 at the remaining
-oscillator-2 base labels, and finally clearing the base block with the
-same two climbs at orders (1, 1). Every kill is a full swap plus a
-joint-selective drive. Forward replay therefore builds oscillator 1 up
-first, then sweeps oscillator 2 row by row, matching the published step
-accounting.
+The single-oscillator engine of synthesis, staged per oscillator
+(synthesis.kill_plan at two orders): run the target backwards, first
+climbing oscillator 2 down to its base levels at every oscillator-1 label,
+then climbing oscillator 1 at the remaining oscillator-2 base labels, and
+finally clearing the base block with the same two climbs at orders
+(1, 1). Every kill is a full swap plus a joint-selective drive. Forward
+replay therefore builds oscillator 1 up first, then sweeps oscillator 2
+row by row, matching the published step accounting.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .fockspace import QUBIT_G, TruncatedSpace, make_space
 from .gates import apply_step
-from .synthesis import CouplingBudget, PulseSchedule, _climb, _compiled, _load_target
+from .synthesis import CouplingBudget, PulseSchedule, _compiled, _support, kill_plan
 from .targets import TargetState
 
 
@@ -49,17 +49,13 @@ def ftp_two_oscillator(target: TargetState, orders: tuple,
     if amps.ndim != 2:
         raise ValueError("ftp_two_oscillator compiles two-oscillator targets")
     if space is None:
-        top1, top2 = np.argwhere(np.abs(amps) > 1e-12).max(axis=0)
+        top1, top2 = np.argwhere(_support(amps)).max(axis=0)
         space = make_space((max(top1 + n1 + 1, n1 + 2), max(top2 + n2 + 1, n2 + 2)))
 
-    state = _load_target(space, target)
-    steps = []
     # the base kills come last in inversion order, so the forward replay
     # prepares the base block first
-    for osc_index, n in ((1, n2), (0, n1), (1, 1), (0, 1)):
-        steps += _climb(space, state, osc_index, n)
-    return _compiled(space, state, steps, (QUBIT_G, 0, 0), target, TwoOscSchedule,
-                     budget=budget, semantics="ideal-pair",
+    return _compiled(space, kill_plan(_support(amps), orders), (QUBIT_G, 0, 0), target,
+                     TwoOscSchedule, budget=budget, semantics="ideal-pair",
                      target_label=_label if _label is not None else target.label)
 
 

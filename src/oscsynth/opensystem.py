@@ -27,6 +27,7 @@ import numpy as np
 from scipy.integrate import RK45
 
 from .fockspace import QUBIT_E, QUBIT_G, _single_ladder, fidelity, make_space, wigner
+from .synthesis import _load_target
 
 TWOPI = 2.0 * math.pi
 
@@ -317,7 +318,8 @@ def run_open_protocol(schedule, params: CircuitParams = None,
     into a pi coupling phase. Returns (rho, fidelity) where fidelity is
     sqrt(<target| rho |target>) against the supplied target vector
     (oscillator amplitudes, qubit in ground), or None when no target is
-    given.
+    given. Zero padding past the cutoff is accepted; target support at or
+    past the cutoff raises DimensionError.
     """
     params = params or CircuitParams()
     rates = rates or NoiseRates()
@@ -359,13 +361,8 @@ def run_open_protocol(schedule, params: CircuitParams = None,
 
     fid = None
     if target is not None:
-        tvec = np.zeros(dim, dtype=complex)
-        tamps = np.asarray(target.amplitudes if hasattr(target, "amplitudes")
-                           else target, dtype=complex).reshape(-1)
-        m = min(len(tamps), cutoff)
-        g0 = QUBIT_G * cutoff
-        tvec[g0: g0 + m] = tamps[:m]
-        fid = fidelity(rho, tvec)
+        tamps = target.amplitudes if hasattr(target, "amplitudes") else target
+        fid = fidelity(rho, _load_target(make_space([cutoff]), tamps))
     return rho, fid
 
 

@@ -3,9 +3,14 @@
 The punch card arranges Fock occupancy by symmetry column: level l sits in
 column k = l mod n at row j = l div n. Column height h_k is the highest
 occupied row, which is exactly the number of climbing steps that column
-costs. Every time estimate follows the same accounting: pi/Omega per drive
-plus pi/(g_n * swap factor) per exchange pulse, the swap factor being
-xi(j n + k, n) for the j-th swap of column k.
+costs. Every time estimate follows the same accounting, one kill at a
+time: pi/Omega per drive plus pi/(g_n * xi(top, n)) per exchange pulse out
+of level top (xi(j n + k, n) for the j-th swap of column k).
+
+The single-oscillator count is the paper's J_n + sum of heights. The
+two-oscillator count and time are the compiler's own kill plan
+(synthesis.kill_plan), so its heights count the climbs on the support as
+the earlier stages fold it, not on the target's occupancy.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gates import xi
-from .synthesis import CouplingBudget
+from .synthesis import CouplingBudget, _support, kill_plan
 from .targets import TargetState
 
 PI = math.pi
@@ -44,12 +49,16 @@ class PunchCard:
 
 @dataclass
 class MultiPunchCard:
-    """Two-oscillator occupancy bookkeeping for the two-stage protocol.
+    """Two-oscillator step bookkeeping for the two-stage protocol, binned
+    from the compiler's kill plan.
 
-    first_heights[k1][k2]: oscillator-1 column heights with oscillator 2
-    sitting at base level k2 (an n1 x n2 matrix). second_heights[l1][k2]:
-    oscillator-2 column heights at fixed oscillator-1 Fock level l1 (one row
-    per populated oscillator-1 level, 0..L1).
+    second_heights[l1][k2]: climbing steps of oscillator-2 column k2 at
+    oscillator-1 Fock level l1 (one row per level 0..L1, L1 the target's
+    highest oscillator-1 level); this stage runs first in inversion order.
+    first_heights[k1][k2]: climbing steps of oscillator-1 column k1 with
+    oscillator 2 at base level k2 (an n1 x n2 matrix), counted on the
+    support the oscillator-2 climbs leave behind. base_steps: the order-1
+    kills that clear the remaining base block.
     """
 
     orders: tuple
@@ -118,16 +127,17 @@ def steps_arbitrary(card: PunchCard, j_n: int = None):
     return n_arb, k_arb
 
 
+def _kill_time(budget: CouplingBudget, n: int, top: int) -> float:
+    """One kill: a drive half-period plus an order-n swap out of level top."""
+    return PI / budget.omega + PI / (budget.g[n] * xi(top, n))
+
+
 def time_symmetric(K: int, n: int, budget: CouplingBudget) -> float:
     """Preparation-time bound for a K-step single-column ladder of order n:
     K drive half-periods plus K exchange swaps at increasing rates."""
     if K < 0:
         raise ValueError("step count must be non-negative")
-    g = budget.g[n]
-    t = K * PI / budget.omega
-    for j in range(1, K + 1):
-        t += PI / (g * xi(j * n, n))
-    return t
+    return sum((_kill_time(budget, n, j * n) for j in range(1, K + 1)), 0.0)
 
 
 def time_le(L: int, budget: CouplingBudget, drive_term: bool = True) -> float:
@@ -155,125 +165,46 @@ def time_ftp(card: PunchCard, budget: CouplingBudget, base_time: float = None) -
     n = card.order
     if base_time is None:
         base_time = time_symmetric(n, 1, budget) if n > 1 else 0.0
-    g = budget.g[n]
-    t = base_time
-    for k in range(n):
-        h = card.heights[k]
-        t += h * PI / budget.omega
-        for j in range(1, h + 1):
-            t += PI / (g * xi(j * n + k, n))
-    return t
+    return base_time + sum(_kill_time(budget, n, j * n + k)
+                           for k in range(n) for j in range(1, card.heights[k] + 1))
 
 
 def time_two_oscillator(L1: int, n1: int, L2: int, n2: int, budget: CouplingBudget) -> float:
     """Dense upper-bound time for the two-oscillator ladder protocol:
     populate oscillator 1 (L1 steps), then every oscillator-2 column over
     L1+1 oscillator-1 levels (L2 steps each)."""
-    t = (L1 + (L1 + 1) * L2) * PI / budget.omega
-    for j in range(1, L1 + 1):
-        t += PI / (budget.g[n1] * xi(j * n1, n1))
-    for j in range(1, L2 + 1):
-        t += (L1 + 1) * PI / (budget.g[n2] * xi(j * n2, n2))
-    return t
+    return time_symmetric(L1, n1, budget) + (L1 + 1) * time_symmetric(L2, n2, budget)
 
 
 def multi_punch_card(target: TargetState, orders: tuple, threshold: float = 1e-12) -> MultiPunchCard:
-    """Build the two-stage occupancy card of a two-oscillator target."""
+    """Bin the two-oscillator kill plan of a target by stage."""
     n1, n2 = orders
     amps = np.asarray(target.amplitudes)
     if amps.ndim != 2:
         raise ValueError("multi_punch_card needs a two-oscillator target")
     occ = np.abs(amps) > threshold
-    occ_l1 = np.nonzero(occ.any(axis=1))[0]
-    l1_top = int(occ_l1[-1]) if len(occ_l1) else 0
-
     first = np.zeros((n1, n2), dtype=int)
-    for k1 in range(n1):
-        for k2 in range(n2):
-            h = 0
-            j = 1
-            while j * n1 + k1 < occ.shape[0]:
-                if k2 < occ.shape[1] and occ[j * n1 + k1, k2]:
-                    h = j
-                j += 1
-            first[k1, k2] = h
-
-    second = np.zeros((l1_top + 1, n2), dtype=int)
-    for l1 in range(l1_top + 1):
-        for k2 in range(n2):
-            h = 0
-            j = 1
-            while j * n2 + k2 < occ.shape[1]:
-                if occ[l1, j * n2 + k2]:
-                    h = j
-                j += 1
-            second[l1, k2] = h
-
-    base_card = multi_base_steps(occ, n1, n2)
+    second = np.zeros((np.flatnonzero(occ.any(axis=1)).max(initial=0) + 1, n2), dtype=int)
+    base_steps = 0
+    # an order-1 climb that shares its signature with a climbing stage is
+    # empty: that stage has already folded the oscillator to level 0
+    for osc_index, (l1, l2), n, _ in kill_plan(occ, orders):
+        if (osc_index, n) == (1, n2):
+            second[l1, l2 % n2] += 1
+        elif (osc_index, n) == (0, n1):
+            first[l1 % n1, l2] += 1
+        else:
+            base_steps += 1
     return MultiPunchCard(orders=(n1, n2), first_heights=first,
-                          second_heights=second, base_steps=base_card)
-
-
-def multi_base_steps(occ: np.ndarray, n1: int, n2: int) -> int:
-    """J_{n1,n2}: linear-interaction steps to prepare the two-mode base state
-    (support restricted to levels below n1 and n2), counted with the same
-    two-stage rule at orders (1, 1)."""
-    if n1 == 1 and n2 == 1:
-        return 0
-    base = occ[:n1, :n2]
-    if not base.any():
-        return 0
-    occ_l1 = np.nonzero(base.any(axis=1))[0]
-    l1_top = int(occ_l1[-1]) if len(occ_l1) else 0
-    steps = l1_top  # oscillator-1 ladder
-    for l1 in range(l1_top + 1):
-        occ_l2 = np.nonzero(base[l1])[0]
-        steps += int(occ_l2[-1]) if len(occ_l2) else 0
-    return steps
-
-
-def time_ftp_two_oscillator(card: MultiPunchCard, budget: CouplingBudget,
-                            base_time: float) -> float:
-    """Card-based two-oscillator time: base state (base_time, its
-    preparation time), oscillator-1 climbs at the oscillator-2 base levels,
-    then oscillator-2 climbs at every populated oscillator-1 level."""
-    n1, n2 = card.orders
-    t = base_time
-    for k1 in range(card.first_heights.shape[0]):
-        for k2 in range(card.first_heights.shape[1]):
-            h = int(card.first_heights[k1, k2])
-            t += h * PI / budget.omega
-            for j in range(1, h + 1):
-                t += PI / (budget.g[n1] * xi(j * n1 + k1, n1))
-    for l1 in range(card.second_heights.shape[0]):
-        for k2 in range(card.second_heights.shape[1]):
-            h = int(card.second_heights[l1, k2])
-            t += h * PI / budget.omega
-            for j in range(1, h + 1):
-                t += PI / (budget.g[n2] * xi(j * n2 + k2, n2))
-    return t
+                          second_heights=second, base_steps=base_steps)
 
 
 def two_oscillator_plan(target: TargetState, orders: tuple, budget: CouplingBudget):
-    """(steps, time) for the card-based two-oscillator protocol, with exact
-    base-state swap accounting from the target's occupancy."""
-    n1, n2 = orders
-    card = multi_punch_card(target, orders)
-    occ = np.abs(np.asarray(target.amplitudes)) > 1e-12
-    base = occ[:n1, :n2]
-    base_time = 0.0
-    if (n1, n2) != (1, 1) and base.any():
-        occ_l1 = np.nonzero(base.any(axis=1))[0]
-        l1_top = int(occ_l1[-1]) if len(occ_l1) else 0
-        base_time += card.base_steps * PI / budget.omega
-        for j in range(1, l1_top + 1):
-            base_time += PI / (budget.g[1] * math.sqrt(j))
-        for l1 in range(l1_top + 1):
-            occ_l2 = np.nonzero(base[l1])[0]
-            h = int(occ_l2[-1]) if len(occ_l2) else 0
-            for j in range(1, h + 1):
-                base_time += PI / (budget.g[1] * math.sqrt(j))
-    return card.total_steps, time_ftp_two_oscillator(card, budget, base_time=base_time)
+    """(steps, time) of the compiled two-oscillator protocol: one step per
+    kill of its plan, each costing a drive and an exchange pi-pulse."""
+    plan = kill_plan(_support(np.asarray(target.amplitudes)), orders)
+    return len(plan), sum(_kill_time(budget, n, src[osc_index] + n)
+                          for osc_index, src, n, _ in plan)
 
 
 def steps_two_oscillator_bound(n1: int, L1: int, n2: int, L2: int, j_base: int = None) -> int:

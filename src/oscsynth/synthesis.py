@@ -8,14 +8,17 @@ selective kill takes a full swap of the one pair plus a drive selective on
 its Fock label, which is exact under ideal-pair semantics. The conjugated
 steps, replayed in forward order, prepare the target.
 
-invert_symmetric handles targets confined to a single rotational-symmetry
-column {k, n+k, 2n+k, ...}: one column of solved kills. ftp_schedule
-handles arbitrary targets (fine-tune-then-populate): one climb (_climb,
-selective kills folding the oscillator down to its base levels 0..n-1),
-then an order-1 column of solved kills over the base levels. The
-two-oscillator compiler in multiosc is the same climb applied to each
-oscillator in turn. Exact-semantics leakage of the climbing pulses is what
-refine_schedule cleans up.
+Which kills to run is decided once, by kill_plan, from the target's
+support alone: a climb is the run of selective kills folding one
+oscillator down to its base levels 0..n-1, and each kill leaves its lower
+level occupied, so the plan is a dry run on booleans. ftp_schedule handles
+arbitrary targets (fine-tune-then-populate): one climb at order n, then
+the order-1 column of solved kills over the base levels. The
+two-oscillator compiler in multiosc climbs each oscillator in turn, and
+the planner counts and times the same plan. invert_symmetric handles
+targets confined to a single rotational-symmetry column {k, n+k, 2n+k,
+...}: one column of solved kills. Exact-semantics leakage of the climbing
+pulses is what refine_schedule cleans up.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import gates
 from .fockspace import QUBIT_E, QUBIT_G, DimensionError, TruncatedSpace, fidelity, make_space
-from .gates import PulseStep, undo_step, xi
+from .gates import PulseStep, xi
 from .targets import TargetState
 
 TWOPI = 2.0 * math.pi
@@ -127,16 +130,56 @@ def _target_vector(space: TruncatedSpace, tamps: np.ndarray) -> np.ndarray:
     return tvec
 
 
-def _load_target(space: TruncatedSpace, target: TargetState) -> np.ndarray:
-    """The state a compiler inverts: the target on |g>, cut after its
-    highest occupied level on each oscillator, so zero padding past a cutoff
-    is accepted; support at or past a cutoff raises DimensionError."""
-    amps = np.asarray(target.amplitudes)
-    top = np.argwhere(np.abs(amps) > 1e-12).max(axis=0)
+def _load_target(space: TruncatedSpace, amps: np.ndarray) -> np.ndarray:
+    """Target amplitudes (one axis per oscillator) on |g> in the flat basis
+    of space, cut after the highest occupied level on each oscillator, so
+    zero padding past a cutoff is accepted; support at or past a cutoff
+    raises DimensionError."""
+    amps = np.asarray(amps)
+    top = np.argwhere(_support(amps)).max(axis=0)
     for l, d in zip(top, space.osc_cutoffs):
         if l >= d:
             raise DimensionError(f"target support at Fock level {l} outside cutoff {d}")
     return _target_vector(space, amps[tuple(slice(0, l + 1) for l in top)])
+
+
+def _support(amps: np.ndarray) -> np.ndarray:
+    """The occupied levels of target amplitudes, as booleans."""
+    return np.abs(amps) > 1e-12
+
+
+def kill_plan(support: np.ndarray, orders: tuple) -> list:
+    """The kills that invert a target with boolean |g> support (one axis
+    per oscillator), as (osc_index, src, n, selective) in inversion order.
+
+    orders (n,) is ftp_schedule: one climb at order n, then the order-1
+    column of solved kills from the highest occupied base level down.
+    orders (n1, n2) is ftp_two_oscillator: climbs at (oscillator 1, n2),
+    (0, n1), (1, 1), (0, 1). A stage runs over each label of the other
+    oscillators, highest label first, and within it from the top level
+    down: an occupied top with top >= n is killed into src = top - n, which
+    the kill leaves occupied (|g,src'|^2 = |g,src|^2 + |g,top|^2 for a
+    selective kill), so this dry run on booleans is exact.
+    """
+    occupied = np.array(support, dtype=bool)
+    if occupied.ndim != len(orders) or len(orders) > 2 or min(orders) < 1:
+        raise ValueError(f"orders {orders} do not fit a {occupied.ndim}-oscillator support")
+    if len(orders) == 1:
+        stages = ((0, orders[0], True), (0, 1, False))
+    else:
+        n1, n2 = orders
+        stages = ((1, n2, True), (0, n1, True), (1, 1, True), (0, 1, True))
+    plan = []
+    for osc_index, n, selective in stages:
+        lanes = np.moveaxis(occupied, osc_index, -1)  # a view: kills write through
+        for other in reversed(list(np.ndindex(lanes.shape[:-1]))):
+            lane = lanes[other]
+            for top in range(len(lane) - 1, n - 1, -1):
+                if lane[top]:
+                    lane[top], lane[top - n] = False, True
+                    src = other[:osc_index] + (top - n,) + other[osc_index:]
+                    plan.append((osc_index, src, n, selective))
+    return plan
 
 
 def _solve_kill_angle(c_kill: complex, c_keep: complex):
@@ -187,43 +230,24 @@ def _kill(space: TruncatedSpace, state: np.ndarray, osc_index: int, src: tuple,
         theta, chi = _solve_kill_angle(state[g_top], state[e_src])
         swap = PulseStep("njc", theta / xi(top[osc_index], n), -chi,
                          osc_index=osc_index, order=n)
-    state[:] = undo_step(space, swap, state, "ideal-pair")
+    gates.rotate(state, *gates.step_pairs(space, swap, "ideal-pair"), -swap.area, swap.phase)
     if abs(state[g_top]) > 1e-10:
         raise RuntimeError(f"failed to clear |{_ket(QUBIT_G, top)}> during inversion")
     y, chi = _solve_kill_angle(state[e_src], state[g_src])
     drive = PulseStep("drive", y, chi, selectivity=src if selective else None)
-    state[:] = undo_step(space, drive, state)
+    gates.rotate(state, *gates.step_pairs(space, drive), -drive.area, drive.phase)
     if abs(state[e_src]) > 1e-10:
         raise RuntimeError(f"failed to clear |{_ket(QUBIT_E, src)}> during inversion")
     return [swap, drive]
 
 
-def _climb(space: TruncatedSpace, state: np.ndarray, osc_index: int, n: int) -> list:
-    """Fold oscillator osc_index down to its base levels 0..n-1 with
-    selective order-n kills, in place, at each label of the other
-    oscillators, highest label first. Within a label the kills go row by
-    row from the top: |g, top> is cleared whenever a level at or above top
-    in its column {top mod n + jn} is occupied. Returns the steps in
-    inversion order."""
-    od = space.osc_dim
-    occupied = np.abs(state[QUBIT_G * od:(QUBIT_G + 1) * od]) > 1e-12
-    occupied = np.moveaxis(occupied.reshape(space.osc_cutoffs), osc_index, -1)
-    steps = []
-    for other in reversed(list(np.ndindex(occupied.shape[:-1]))):
-        # highest occupied level per column (flatnonzero ascends)
-        highest = {l % n: l for l in np.flatnonzero(occupied[other])}
-        for top in range(occupied.shape[-1] - 1, n - 1, -1):
-            if top <= highest.get(top % n, -1):
-                src = other[:osc_index] + (top - n,) + other[osc_index:]
-                steps += _kill(space, state, osc_index, src, n, selective=True)
-    return steps
-
-
-def _compiled(space: TruncatedSpace, state: np.ndarray, steps: list, initial: tuple,
-              target: TargetState, schedule_type: type = PulseSchedule,
-              **fields) -> PulseSchedule:
-    """The schedule replaying the inversion steps forward from initial,
-    once the inverted state is checked to sit there, with its fidelity."""
+def _compiled(space: TruncatedSpace, plan: list, initial: tuple, target: TargetState,
+              schedule_type: type = PulseSchedule, **fields) -> PulseSchedule:
+    """Run the kills of plan on the target, check that the inverted state
+    sits at initial, and return the schedule replaying the kills forward
+    from there, with its fidelity."""
+    state = _load_target(space, target.amplitudes)
+    steps = [step for kill in plan for step in _kill(space, state, *kill)]
     residual = abs(state[space.index(*initial)])
     if residual < 1.0 - 1e-9:
         raise RuntimeError("inversion residual too large: "
@@ -256,11 +280,8 @@ def invert_symmetric(target: TargetState, n: int,
     if d < need:
         raise DimensionError(f"cutoff {d} too small; need at least {need}")
 
-    state = _load_target(space, target)
-    steps = []
-    for top in range(top_level, offset, -n):
-        steps += _kill(space, state, 0, (top - n,), n, selective=False)
-    return _compiled(space, state, steps, (QUBIT_G, offset), target, budget=budget,
+    plan = [(0, (top - n,), n, False) for top in range(top_level, offset, -n)]
+    return _compiled(space, plan, (QUBIT_G, offset), target, budget=budget,
                      target_label=target.label, semantics="exact")
 
 
@@ -282,14 +303,8 @@ def ftp_schedule(target: TargetState, n: int,
     if space is None:
         space = make_space([max(target.max_index + n + 1, 2 * n + 1)])
 
-    state = _load_target(space, target)
-    steps = _climb(space, state, 0, n)
-    d = space.osc_cutoffs[0]
-    base = np.flatnonzero(np.abs(state[QUBIT_G * d:QUBIT_G * d + n]) > 1e-12)
-    for top in range(int(base[-1]), 0, -1):
-        steps += _kill(space, state, 0, (top - 1,), 1, selective=False)
-    return _compiled(space, state, steps, (QUBIT_G, 0), target, budget=budget,
-                     target_label=target.label, semantics=semantics)
+    return _compiled(space, kill_plan(_support(target.amplitudes), (n,)), (QUBIT_G, 0),
+                     target, budget=budget, target_label=target.label, semantics=semantics)
 
 
 def refine_schedule(schedule: PulseSchedule, target: TargetState,

@@ -130,10 +130,11 @@ def test_fidelity_amplitude_convention():
     assert fidelity(0.5 * a, b) == pytest.approx(0.5 * math.sqrt(0.5))
 
 
-def test_fidelity_zero_pads_shorter_vector():
+def test_fidelity_rejects_vectors_of_different_length():
     a = np.array([1.0, 0.0, 0.0], dtype=complex)
     b = np.array([1.0], dtype=complex)
-    assert fidelity(a, b) == pytest.approx(1.0)
+    with pytest.raises(DimensionError):
+        fidelity(a, b)
 
 
 def test_fidelity_density_matrix_agrees_with_pure():

@@ -81,6 +81,46 @@ def test_step_count_matches_planner():
     assert steps == card.total_steps
 
 
+BUDGET_123 = CouplingBudget(g={1: TWO_PI * 100e6, 2: TWO_PI * 25e6, 3: TWO_PI * 10e6})
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=12),
+)
+def test_planner_counts_the_compiled_kills(n1, n2, support):
+    amps = np.zeros((7, 7), dtype=complex)
+    for l1, l2 in support:
+        amps[l1, l2] = 1.0 + 0.3 * l1 + 0.7j * l2
+    target = TargetState(amps)
+    sched = ftp_two_oscillator(target, (n1, n2), budget=BUDGET_123)
+    steps, t = two_oscillator_plan(target, (n1, n2), BUDGET_123)
+    assert steps == sum(s.kind == "njc" for s in sched.steps)
+    assert multi_punch_card(target, (n1, n2)).total_steps == steps
+    # the plan charges a full pi-pulse where a kill takes at most pi/2
+    assert t >= sched.duration
+
+
+@pytest.mark.parametrize("name, orders, pairs", [
+    ("noon3", (2, 2), 4), ("noon3", (1, 2), 5), ("noon3", (2, 1), 5),
+    ("noon5", (2, 2), 6), ("noon5", (1, 2), 8), ("noon5", (2, 1), 8),
+    ("bell", (1, 2), 70), ("bell", (2, 1), 115),
+])
+def test_planner_count_pins(name, orders, pairs):
+    # the climbs fill base levels the target leaves empty (odd NOON at
+    # (2, 2)), and the planner counts those kills too
+    if name == "bell":
+        target = multimode_target(make_space([13, 13]), "bell_cat", alpha1=math.sqrt(2.0),
+                                  alpha2=math.sqrt(2.0), truncate_at=10)
+    else:
+        target = multimode_target(make_space([8, 8]), "noon", N=int(name[4:]))
+    steps, _ = two_oscillator_plan(target, orders, CouplingBudget())
+    sched = ftp_two_oscillator(target, orders)
+    assert steps == len(sched.steps) // 2 == pairs
+
+
 def test_forward_replay_builds_oscillator_one_first():
     # for a lattice-symmetric target the second oscillator must stay in its
     # base column until every oscillator-1 level is populated

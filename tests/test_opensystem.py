@@ -8,7 +8,7 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.linalg import expm
 
 from oscsynth import opensystem
-from oscsynth.fockspace import QUBIT_E, QUBIT_G, _single_ladder, make_space
+from oscsynth.fockspace import QUBIT_E, QUBIT_G, DimensionError, _single_ladder, make_space
 from oscsynth.gates import PulseStep, njc_propagator
 from oscsynth.opensystem import (
     CircuitParams,
@@ -314,6 +314,24 @@ def test_run_open_protocol_target_fidelity_sqrt_convention():
                                 cutoff=6, target=vac)
     # sqrt(<g,0| rho |g,0>) = |cos(pi/4)|
     assert fid2 == pytest.approx(math.cos(math.pi / 4), abs=1e-6)
+
+
+def test_run_open_protocol_accepts_target_zero_padding_past_the_cutoff():
+    sched = PulseSchedule(steps=[], space=make_space([4]), budget=CouplingBudget())
+    padded = np.zeros(10)
+    padded[[0, 5]] = 0.6, 0.8
+    _, fid = run_open_protocol(sched, CircuitParams(), NoiseRates(0.0, 0.0, 0.0, 0.0),
+                               cutoff=6, target=padded)
+    assert fid == pytest.approx(0.6, abs=1e-9)
+
+
+def test_run_open_protocol_rejects_target_support_at_the_cutoff():
+    sched = PulseSchedule(steps=[], space=make_space([4]), budget=CouplingBudget())
+    vec = np.zeros(10)
+    vec[[0, 6]] = 0.6, 0.8
+    with pytest.raises(DimensionError):
+        run_open_protocol(sched, CircuitParams(), NoiseRates(0.0, 0.0, 0.0, 0.0),
+                          cutoff=6, target=vec)
 
 
 def test_run_open_protocol_starts_from_schedule_initial():

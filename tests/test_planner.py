@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from oscsynth.planner import (
     base_step_count,
-    multi_base_steps,
     multi_punch_card,
     punch_card,
     scaling_table,
@@ -22,7 +21,7 @@ from oscsynth.planner import (
     time_two_oscillator,
     two_oscillator_plan,
 )
-from oscsynth.synthesis import CouplingBudget
+from oscsynth.synthesis import CouplingBudget, ftp_schedule
 from oscsynth.targets import TargetState, multimode_target
 from oscsynth.fockspace import make_space
 from oscsynth.gates import xi
@@ -99,6 +98,22 @@ def test_exact_steps_never_exceed_bound(seed):
     assert n_arb >= 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=4),
+       st.lists(st.integers(0, 16), min_size=1, max_size=10))
+def test_climbs_equal_punch_card_heights(n, levels):
+    vec = np.zeros(max(levels) + 1, dtype=complex)
+    for l in levels:
+        vec[l] = 1.0 + 0.4j * l
+    target = TargetState(vec)
+    b = CouplingBudget(g={1: 2 * PI * 100e6, 2: 2 * PI * 25e6, 3: 2 * PI * 10e6,
+                          4: 2 * PI * 5e6})
+    card = punch_card(target, n)
+    sched = ftp_schedule(target, n, budget=b)
+    assert sum(s.selectivity is not None for s in sched.steps) == sum(card.heights)
+    assert time_ftp(card, b) >= sched.duration
+
+
 def test_time_symmetric_monotone_in_steps():
     b = CouplingBudget()
     times = [time_symmetric(K, 2, b) for K in range(0, 12)]
@@ -156,12 +171,15 @@ def test_multi_punch_card_and_plan_consistency():
 
 
 def test_multi_base_steps_trivial_cases():
-    occ = np.zeros((4, 4), dtype=bool)
-    assert multi_base_steps(occ, 2, 2) == 0
-    occ[0, 0] = True
-    assert multi_base_steps(occ, 1, 1) == 0
-    occ[1, 1] = True
-    assert multi_base_steps(occ, 2, 2) == 1 + 0 + 1  # ladder to l1=1, one l2 step
+    amps = np.zeros((4, 4))
+    amps[2, 2] = 1.0  # the climbs leave only |0,0>: no base kills
+    assert multi_punch_card(TargetState(amps), (2, 2)).base_steps == 0
+    amps[0, 0] = 1.0
+    assert multi_punch_card(TargetState(amps), (1, 1)).base_steps == 0
+    amps[2, 2] = 0.0
+    amps[1, 1] = 1.0
+    # |1,1> -> |1,0> on oscillator 2, then |1,0> -> |0,0> on oscillator 1
+    assert multi_punch_card(TargetState(amps), (2, 2)).base_steps == 2
 
 
 def test_time_two_oscillator_dense_bound():
