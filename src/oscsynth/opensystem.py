@@ -3,10 +3,10 @@
 The circuit Hamiltonian keeps, besides the wanted two-photon exchange, the
 spurious terms that survive the circuit expansion: a cubic oscillator
 nonlinearity, a qubit-state-dependent oscillator drive, and a transverse
-qubit-oscillator coupling. Evolution happens in the interaction picture of
-the bare qubit and oscillator, where every normal-ordered monomial carries
-an explicit e^{i f t} phase; the generator is assembled once as a list of
-(matrix, frequency) pairs and summed with a phase vector at each time.
+qubit-oscillator coupling. Schedules live in the interaction picture of the
+bare qubit and oscillator, H0 = (omega_q/2) sigma_z + omega_o a'a, where an
+exchange pulse sees H_I(t) = e^{i H0 t} V e^{-i H0 t} for the constant
+lab-frame coupling V built from x = a + a'.
 
 Dissipation is zero-temperature Lindblad: qubit relaxation and dephasing,
 oscillator relaxation and dephasing. Rates are plain inverse seconds. The
@@ -14,14 +14,22 @@ dissipators act in closed form on the (qubit, Fock) index grid: their
 diagonal terms (the -1/2 {L'L, rho} parts and both dephasings) fold into
 one real mask multiplied into rho, and the two jumps are slice updates
 (the |e><e| block onto |g><g|; sqrt(n+1) sqrt(m+1) rho[n+1, m+1] onto
-rho[n, m]). Only the commutator with H(t) takes matrix products.
+rho[n, m]).
+
+The dissipators commute with the superoperator of H0, so each pulse is one
+constant Lindbladian in the lab frame. run_open_protocol evolves it in
+split steps: one eigh of H0 + V per pulse gives the exact step unitary,
+Strang steps interleave it with second-order Taylor steps of the
+dissipators, step doubling with Richardson extrapolation meets rtol and
+atol, and a phase returns rho to the interaction frame. lindblad_evolve
+integrates the interaction-frame master equation with RK45; it is the
+oracle the split steps are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iproduct
 
 import numpy as np
 from scipy.integrate import RK45
@@ -151,93 +159,84 @@ def load_rates(path) -> NoiseRates:
 # interaction-picture generator
 
 
-def _poly_parts(factors, d):
-    """Expand a product of ladder factors into (frequency, matrix) parts.
-
-    Each factor is [(matrix, frequency), ...]; the product distributes and
-    the parts group by net oscillation frequency.
-    """
-    parts = {}
-    for combo in _iproduct(*factors):
-        mat = np.eye(d, dtype=complex)
-        freq = 0.0
-        for m, f in combo:
-            mat = mat @ m
-            freq += f
-        if freq in parts:
-            parts[freq] += mat
-        else:
-            parts[freq] = mat
-    return sorted(parts.items(), key=lambda kv: kv[0])
-
-
 class InteractionPictureGenerator:
-    """Precomputed term list for the circuit Hamiltonian in the frame of
-    H0 = (omega_q/2) sigma_z + omega_o a'a.
+    """The circuit Hamiltonian in the frame of H0 = (omega_q/2) sigma_z +
+    omega_o a'a: H_I(t) = e^{i H0 t} V e^{-i H0 t}, with the lab-frame
+    coupling V built from x = a + a'.
 
-    Terms are split into the wanted exchange part (proportional to g2,
-    whose phase can be set per pulse) and everything else.
+    V is the wanted exchange part g2 (sigma+ + sigma-) x^2, whose phase can
+    be set per pulse, plus the spurious rest: -g_e4 x^3, -g_e5 sigma_z x and
+    -g_c (sigma+ - sigma-)(a' - a). h0 is the diagonal of H0.
     """
 
     def __init__(self, params: CircuitParams, cutoff: int):
         self.params = params
         self.cutoff = cutoff
-        d = cutoff
-        a = _single_ladder(d)
+        a = _single_ladder(cutoff)
         ad = a.conj().T
+        x = a + ad
         i2 = np.eye(2, dtype=complex)
         sz = np.diag([1.0, -1.0]).astype(complex)  # |e><e| - |g><g|
         s_plus = np.zeros((2, 2), dtype=complex)
         s_plus[QUBIT_E, QUBIT_G] = 1.0
         s_minus = s_plus.conj().T
 
-        wq, wo = params.omega_q, params.omega_o
-        x = [(ad, wo), (a, -wo)]           # a' e^{i wo t} + a e^{-i wo t}
-        x_minus = [(ad, wo), (-a, -wo)]    # a' e^{i wo t} - a e^{-i wo t}
-
-        base = []
-        for f, m in _poly_parts([x, x, x], d):
-            base.append((-params.g_e4 * np.kron(i2, m), f))
-        for f, m in _poly_parts([x], d):
-            base.append((-params.g_e5 * np.kron(sz, m), f))
-        for f, m in _poly_parts([x_minus], d):
-            base.append((-params.g_c * np.kron(s_plus, m), f + wq))
-            base.append((params.g_c * np.kron(s_minus, m), f - wq))
-        exch = []
-        for f, m in _poly_parts([x, x], d):
-            exch.append((params.g2 * np.kron(s_plus, m), f + wq))
-            exch.append((params.g2 * np.kron(s_minus, m), f - wq))
-
-        self._base_m = np.array([m for m, _ in base])
-        self._base_f = np.array([f for _, f in base])
-        self._exch_m = np.array([m for m, _ in exch])
-        self._exch_f = np.array([f for _, f in exch])
-        self._exch_is_plus = np.array(
-            [k % 2 == 0 for k in range(len(exch))], dtype=bool)
+        self.h0 = np.add.outer(0.5 * params.omega_q * np.diag(sz).real,
+                               params.omega_o * np.arange(cutoff)).ravel()
+        self._base = (-params.g_e4 * np.kron(i2, x @ x @ x)
+                      - params.g_e5 * np.kron(sz, x)
+                      - params.g_c * np.kron(s_plus - s_minus, ad - a))
+        self._exchange_plus = params.g2 * np.kron(s_plus, x @ x)
 
     def __call__(self, t: float, exchange_phase: float = 0.0) -> np.ndarray:
-        """H_I(t); exchange_phase multiplies the sigma+ exchange terms by
+        """H_I(t); exchange_phase multiplies the sigma+ exchange part by
         e^{i phase} (and sigma- by the conjugate)."""
-        h = np.tensordot(np.exp(1j * self._base_f * t), self._base_m, axes=1)
-        ph = np.exp(1j * self._exch_f * t)
-        if exchange_phase:
-            rot = np.where(self._exch_is_plus,
-                           np.exp(1j * exchange_phase),
-                           np.exp(-1j * exchange_phase))
-            ph = ph * rot
-        h = h + np.tensordot(ph, self._exch_m, axes=1)
-        # analytically Hermitian by pairing; symmetrize away rounding dust
-        return 0.5 * (h + h.conj().T)
+        plus = self._exchange_plus * np.exp(1j * exchange_phase)
+        frame = np.exp(1j * self.h0 * t)
+        return frame[:, None] * (self._base + plus + plus.conj().T) * frame.conj()
 
 
 # ---------------------------------------------------------------------------
 # Lindblad integration
 
 
+def _dissipator(cutoff: int, rates: NoiseRates):
+    """D(rho) of the four zero-temperature dissipators on the (qubit, Fock)
+    index grid of dimension 2 * cutoff, as a function of rho."""
+    dim = 2 * cutoff
+    # Diagonal parts of all four dissipators as one mask on (i, j): the
+    # -1/2 {L'L, rho} terms, qubit dephasing and oscillator dephasing.
+    n = np.tile(np.arange(cutoff, dtype=float), 2)
+    s = np.where(np.arange(dim) // cutoff == QUBIT_E, 1.0, -1.0)  # sigma_z
+    pe = 0.5 * (s + 1.0)
+    mask = (-0.5 * rates.gamma_q_r * np.add.outer(pe, pe)
+            + 0.5 * rates.gamma_q_phi * (np.outer(s, s) - 1.0)
+            - 0.5 * rates.gamma_o_r * np.add.outer(n, n)
+            - 0.5 * rates.gamma_o_phi * np.subtract.outer(n, n) ** 2)
+    # Jumps: sigma- copies |e><e| onto |g><g|; a moves rho[n+1, m+1] to
+    # [n, m], a shift by dim + 1 in the flat index, weighted zero where n or
+    # m is the top level (the shift would cross into the next qubit block).
+    e = slice(QUBIT_E * cutoff, (QUBIT_E + 1) * cutoff)
+    g = slice(QUBIT_G * cutoff, (QUBIT_G + 1) * cutoff)
+    root = np.where(n < cutoff - 1, np.sqrt(n + 1.0), 0.0)
+    w_osc = (rates.gamma_o_r * np.outer(root, root)).ravel()[: -(dim + 1)]
+
+    def dissipator(rho):
+        out = mask * rho
+        out[g, g] += rates.gamma_q_r * rho[e, e]
+        out.ravel()[: -(dim + 1)] += w_osc * rho.ravel()[dim + 1:]
+        return out
+
+    # D is triangular in excitation number, so its eigenvalues are the mask
+    dissipator.max_rate = float(np.abs(mask).max())
+    return dissipator
+
+
 def lindblad_evolve(rho0: np.ndarray, hamiltonian, rates: NoiseRates,
                     duration: float, rtol: float = 1e-8, atol: float = 1e-10,
                     max_step: float = None) -> np.ndarray:
-    """Integrate d rho/dt = -i[H(t), rho] + dissipators over [0, duration].
+    """Integrate d rho/dt = -i[H(t), rho] + dissipators over [0, duration]
+    with RK45.
 
     hamiltonian: callable t -> matrix (or a constant matrix). The result is
     symmetrized; trace preservation to 1e-8 is asserted.
@@ -248,7 +247,6 @@ def lindblad_evolve(rho0: np.ndarray, hamiltonian, rates: NoiseRates,
     dim = rho0.shape[0]
     if dim % 2:
         raise ValueError(f"rho0 dimension {dim} is odd; expected 2 * cutoff")
-    cutoff = dim // 2
     if not callable(hamiltonian):
         h_const = np.asarray(hamiltonian, dtype=complex)
         if h_const.shape != rho0.shape:
@@ -257,30 +255,13 @@ def lindblad_evolve(rho0: np.ndarray, hamiltonian, rates: NoiseRates,
         h_of_t = lambda t: h_const
     else:
         h_of_t = hamiltonian
-
-    # Diagonal parts of all four dissipators as one mask on (i, j): the
-    # -1/2 {L'L, rho} terms, qubit dephasing and oscillator dephasing.
-    n = np.tile(np.arange(cutoff, dtype=float), 2)
-    s = np.where(np.arange(dim) // cutoff == QUBIT_E, 1.0, -1.0)  # sigma_z
-    pe = 0.5 * (s + 1.0)
-    mask = (-0.5 * rates.gamma_q_r * np.add.outer(pe, pe)
-            + 0.5 * rates.gamma_q_phi * (np.outer(s, s) - 1.0)
-            - 0.5 * rates.gamma_o_r * np.add.outer(n, n)
-            - 0.5 * rates.gamma_o_phi * np.subtract.outer(n, n) ** 2)
-    # Jumps: sigma- copies |e><e| onto |g><g|; a moves rho[n+1, m+1] to [n, m].
-    e = slice(QUBIT_E * cutoff, (QUBIT_E + 1) * cutoff)
-    g = slice(QUBIT_G * cutoff, (QUBIT_G + 1) * cutoff)
-    root = np.sqrt(np.arange(1.0, cutoff))
-    w_osc = rates.gamma_o_r * root[:, None, None] * root
+    dissipator = _dissipator(dim // 2, rates)
 
     def rhs(t, y):
         rho = y.reshape(dim, dim)
         h = h_of_t(t)
-        dr = -1j * (h @ rho - rho @ h)
-        dr += mask * rho
-        dr[g, g] += rates.gamma_q_r * rho[e, e]
-        dr.reshape(2, cutoff, 2, cutoff)[:, :-1, :, :-1] += (
-            w_osc * rho.reshape(2, cutoff, 2, cutoff)[:, 1:, :, 1:])
+        dr = dissipator(rho)
+        dr -= 1j * (h @ rho - rho @ h)
         return dr.ravel()
 
     if duration == 0:
@@ -298,7 +279,15 @@ def lindblad_evolve(rho0: np.ndarray, hamiltonian, rates: NoiseRates,
         raise IntegrationError(
             f"master-equation integration failed at t = {solver.t:.3e} s: "
             f"{message}", t=solver.t)
-    rho = solver.y.reshape(dim, dim)
+    return _checked(solver.y.reshape(dim, dim), rho0, duration)
+
+
+def _checked(rho, rho0, duration):
+    """rho symmetrized, after checking that it is finite and kept the trace
+    of rho0 to 1e-8."""
+    if not np.isfinite(rho).all():
+        raise IntegrationError(f"rho became non-finite by t = {duration:.3e} s",
+                               t=duration)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if abs(tr - np.trace(rho0).real) > 1e-8:
@@ -306,16 +295,80 @@ def lindblad_evolve(rho0: np.ndarray, hamiltonian, rates: NoiseRates,
     return rho
 
 
+# Strang steps per pulse beyond which step doubling gives up.
+_MAX_STEPS = 2 ** 16
+
+
+def _evolve_pulse(rho, h0, v, dissipator, duration, rtol, atol):
+    """Evolve the interaction-frame rho for duration under
+    H_I(t) = e^{i h0 t} v e^{-i h0 t} plus the dissipator.
+
+    D commutes with the superoperator of diag(h0), so in the lab frame the
+    pulse is the constant Lindbladian of H = diag(h0) + v. One eigh of H
+    gives the exact step unitary U; N Strang steps
+    rho <- e^{D dt/2} U rho U' e^{D dt/2} apply e^{D dt} as second-order
+    Taylor steps, merging the half steps between unitaries, and a phase
+    e^{i (h0_i - h0_j) T} returns rho to the interaction frame. N starts
+    at the smallest count that samples the fastest frequency v carries in
+    the h0 frame (coarser steps alias it) and keeps |D| dt <= 1 (the
+    Taylor step is stable below 2), then doubles until
+    max|S(2N) - S(N)| / 3 <= atol + rtol max|rho|; the Richardson value
+    (4 S(2N) - S(N)) / 3 is returned with the list of step counts run.
+    """
+    energies, vecs = np.linalg.eigh(np.diag(h0) + v)
+    rows, cols = np.nonzero(v)
+    fastest = np.abs(h0[rows] - h0[cols]).max(initial=0.0)
+
+    def dissipate(r, dt):
+        k = dissipator(r)
+        k *= dt
+        k2 = dissipator(k)
+        k2 *= 0.5 * dt
+        k += r
+        k += k2
+        return k
+
+    def sweep(n):
+        dt = duration / n
+        u = (vecs * np.exp(-1j * energies * dt)) @ vecs.conj().T
+        uh = u.conj().T
+        r = dissipate(rho, 0.5 * dt)
+        for _ in range(n - 1):
+            r = dissipate(u @ r @ uh, dt)
+        r = dissipate(u @ r @ uh, 0.5 * dt)
+        if not np.isfinite(r).all():
+            raise IntegrationError(
+                f"split-step rho became non-finite by t = {duration:.3e} s "
+                f"at {n} steps", t=duration)
+        return r
+
+    n = max(1, math.ceil(max(fastest / math.pi, dissipator.max_rate) * duration))
+    steps = []
+    while n <= _MAX_STEPS:
+        steps.append(n)
+        fine = sweep(n)
+        if len(steps) > 1 and (np.abs(fine - coarse).max() / 3
+                               <= atol + rtol * np.abs(fine).max()):
+            frame = np.exp(1j * h0 * duration)
+            out = frame[:, None] * ((4 * fine - coarse) / 3) * frame.conj()
+            return _checked(out, rho, duration), steps
+        coarse, n = fine, 2 * n
+    raise IntegrationError(
+        f"step doubling did not meet rtol {rtol:g}, atol {atol:g} within "
+        f"{_MAX_STEPS} steps over {duration:.3e} s", t=duration)
+
+
 def run_open_protocol(schedule, params: CircuitParams = None,
                       rates: NoiseRates = None, cutoff: int = 30,
-                      target=None, rtol: float = 1e-8, atol: float = 1e-10,
-                      njc_max_step: float = 1e-11):
+                      target=None, rtol: float = 1e-8, atol: float = 1e-10):
     """Replay a compiled schedule on the open circuit model.
 
     The replay starts from schedule.initial. Drive steps evolve under the
     bare qubit drive alone; order-2 exchange steps evolve under the full
     interaction-picture circuit Hamiltonian, with negative areas folded
-    into a pi coupling phase. Returns (rho, fidelity) where fidelity is
+    into a pi coupling phase. Each pulse is one constant lab-frame
+    Lindbladian, evolved in split steps by _evolve_pulse to rtol and
+    atol. Returns (rho, fidelity) where fidelity is
     sqrt(<target| rho |target>) against the supplied target vector
     (oscillator amplitudes, qubit in ground), or None when no target is
     given. Zero padding past the cutoff is accepted; target support at or
@@ -332,30 +385,30 @@ def run_open_protocol(schedule, params: CircuitParams = None,
         raise ValueError(f"initial Fock level {level0} is outside cutoff {cutoff}")
     omega = schedule.budget.omega
     gen = InteractionPictureGenerator(params, cutoff)
+    dissipator = _dissipator(cutoff, rates)
     dim = 2 * cutoff
     sp2 = np.zeros((2, 2), dtype=complex)
     sp2[QUBIT_E, QUBIT_G] = 1.0
     io = np.eye(cutoff, dtype=complex)
+    no_frame = np.zeros(dim)
 
     rho = np.zeros((dim, dim), dtype=complex)
     i0 = qubit0 * cutoff + level0
     rho[i0, i0] = 1.0
 
     for step in schedule.steps:
+        phase = step.phase + (math.pi if step.area < 0 else 0.0)
         if step.kind == "drive":
-            theta = step.phase + (math.pi if step.area < 0 else 0.0)
-            h = omega * (np.kron(sp2, io) * np.exp(1j * theta)
-                         + np.kron(sp2.conj().T, io) * np.exp(-1j * theta))
-            rho = lindblad_evolve(rho, h, rates, abs(step.area) / omega,
-                                  rtol=rtol, atol=atol)
+            h = omega * (np.kron(sp2, io) * np.exp(1j * phase)
+                         + np.kron(sp2.conj().T, io) * np.exp(-1j * phase))
+            rho, _ = _evolve_pulse(rho, no_frame, h, dissipator,
+                                   abs(step.area) / omega, rtol, atol)
         elif step.kind == "njc":
             if step.order != 2:
                 raise ValueError(
                     f"open-system replay implements order 2 only, got {step.order}")
-            phase = step.phase + (math.pi if step.area < 0 else 0.0)
-            h = lambda t, _p=phase: gen(t, exchange_phase=_p)
-            rho = lindblad_evolve(rho, h, rates, abs(step.area) / params.g2,
-                                  rtol=rtol, atol=atol, max_step=njc_max_step)
+            rho, _ = _evolve_pulse(rho, gen.h0, gen(0.0, exchange_phase=phase),
+                                   dissipator, abs(step.area) / params.g2, rtol, atol)
         else:
             raise ValueError(f"unknown step kind {step.kind!r}")
 

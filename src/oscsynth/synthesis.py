@@ -109,25 +109,7 @@ def replay_fidelity(schedule: PulseSchedule, target: TargetState,
                     semantics: str = None) -> float:
     """Fidelity of the forward replay against the target, qubit in |g>."""
     out = apply_schedule(schedule, _initial_vector(schedule), semantics=semantics)
-    return fidelity(out, _target_vector(schedule.space, target.amplitudes))
-
-
-def _target_vector(space: TruncatedSpace, tamps: np.ndarray) -> np.ndarray:
-    """Target amplitudes (one axis per oscillator) on |g> in the flat basis
-    of space."""
-    tamps = np.asarray(tamps)
-    if tamps.ndim != space.n_osc:
-        raise ValueError("target oscillator count does not match the schedule space")
-    # align each oscillator axis with the space cutoff; support beyond a
-    # cutoff cannot be reached, so dropping it lowers the overlap by exactly
-    # the missing weight (no renormalization)
-    grid = np.zeros(space.osc_cutoffs, dtype=complex)
-    sl = tuple(slice(0, min(t, d)) for t, d in zip(tamps.shape, space.osc_cutoffs))
-    grid[sl] = tamps[sl]
-    od = space.osc_dim
-    tvec = np.zeros(space.dim, dtype=complex)
-    tvec[QUBIT_G * od : (QUBIT_G + 1) * od] = grid.reshape(-1)
-    return tvec
+    return fidelity(out, _load_target(schedule.space, target.amplitudes))
 
 
 def _load_target(space: TruncatedSpace, amps: np.ndarray) -> np.ndarray:
@@ -136,11 +118,19 @@ def _load_target(space: TruncatedSpace, amps: np.ndarray) -> np.ndarray:
     zero padding past a cutoff is accepted; support at or past a cutoff
     raises DimensionError."""
     amps = np.asarray(amps)
+    if amps.ndim != space.n_osc:
+        raise ValueError("target oscillator count does not match the schedule space")
     top = np.argwhere(_support(amps)).max(axis=0)
     for l, d in zip(top, space.osc_cutoffs):
         if l >= d:
             raise DimensionError(f"target support at Fock level {l} outside cutoff {d}")
-    return _target_vector(space, amps[tuple(slice(0, l + 1) for l in top)])
+    grid = np.zeros(space.osc_cutoffs, dtype=complex)
+    kept = tuple(slice(0, l + 1) for l in top)
+    grid[kept] = amps[kept]
+    od = space.osc_dim
+    tvec = np.zeros(space.dim, dtype=complex)
+    tvec[QUBIT_G * od : (QUBIT_G + 1) * od] = grid.reshape(-1)
+    return tvec
 
 
 def _support(amps: np.ndarray) -> np.ndarray:
@@ -319,7 +309,7 @@ def refine_schedule(schedule: PulseSchedule, target: TargetState,
     # the same kernel as apply_schedule
     plan = gates.RotationPlan(schedule.space, steps, semantics)
     initial = _initial_vector(schedule)
-    tvec = _target_vector(schedule.space, target.amplitudes)
+    tvec = _load_target(schedule.space, target.amplitudes)
     x0 = np.array([v for s in steps for v in (s.area, s.phase)])
 
     def objective(x):

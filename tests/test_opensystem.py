@@ -1,6 +1,7 @@
 """Tests for the interaction-picture circuit model and Lindblad replay."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from oscsynth.opensystem import (
     run_open_protocol,
 )
 from oscsynth.synthesis import CouplingBudget, PulseSchedule, apply_schedule
+from oscsynth.targets import cat_state
 
 TWO_PI = 2 * math.pi
 
@@ -87,6 +89,8 @@ RATE_CASES = {
     "q_phi": NoiseRates(0.0, 0.0, 5e5, 0.0),
     "o_phi": NoiseRates(0.0, 0.0, 0.0, 7e5),
     "all": NoiseRates(2e5, 3e5, 5e5, 7e5),
+    # |D| T above 1 on every pulse at cutoff 8: the Taylor steps' own floor
+    "strong": NoiseRates(2e7, 3e7, 5e7, 7e7),
 }
 
 
@@ -176,6 +180,59 @@ def test_frame_identity_at_t_zero():
     ref = kron_lab_hamiltonian(params, d)
     scale = np.abs(ref).max()
     assert np.abs(h - ref).max() / scale < 1e-12
+
+
+def _poly_parts(factors, d):
+    """Expand a product of ladder factors [(matrix, frequency), ...] into
+    (frequency, matrix) parts grouped by net oscillation frequency."""
+    parts = {}
+    for combo in product(*factors):
+        mat = np.eye(d, dtype=complex)
+        freq = 0.0
+        for m, f in combo:
+            mat = mat @ m
+            freq += f
+        parts[freq] = parts.get(freq, 0) + mat
+    return sorted(parts.items(), key=lambda kv: kv[0])
+
+
+def term_list_hamiltonian(params, d, t, exchange_phase):
+    """H_I(t) summed term by term, each normal-ordered monomial with its own
+    e^{i f t} frame phase."""
+    a = _single_ladder(d)
+    ad = a.conj().T
+    i2 = np.eye(2, dtype=complex)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    sp = np.zeros((2, 2), dtype=complex)
+    sp[QUBIT_E, QUBIT_G] = 1.0
+    sm = sp.conj().T
+    wq, wo = params.omega_q, params.omega_o
+    x = [(ad, wo), (a, -wo)]
+    x_minus = [(ad, wo), (-a, -wo)]
+    terms = []
+    for f, m in _poly_parts([x, x, x], d):
+        terms.append((-params.g_e4 * np.kron(i2, m), f))
+    for f, m in _poly_parts([x], d):
+        terms.append((-params.g_e5 * np.kron(sz, m), f))
+    for f, m in _poly_parts([x_minus], d):
+        terms.append((-params.g_c * np.kron(sp, m), f + wq))
+        terms.append((params.g_c * np.kron(sm, m), f - wq))
+    rot = np.exp(1j * exchange_phase)
+    for f, m in _poly_parts([x, x], d):
+        terms.append((params.g2 * rot * np.kron(sp, m), f + wq))
+        terms.append((params.g2 * np.conj(rot) * np.kron(sm, m), f - wq))
+    return sum(np.exp(1j * f * t) * m for m, f in terms)
+
+
+@pytest.mark.parametrize("cutoff", [8, 30])
+def test_generator_matches_term_list(cutoff):
+    params = CircuitParams()
+    gen = InteractionPictureGenerator(params, cutoff)
+    rng = np.random.default_rng(cutoff)
+    for t, phase in zip(rng.uniform(0, 5e-9, 5), rng.uniform(-math.pi, math.pi, 5)):
+        ref = term_list_hamiltonian(params, cutoff, t, phase)
+        got = gen(t, exchange_phase=phase)
+        assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-12
 
 
 def test_hamiltonian_hermitian_at_random_times():
@@ -296,6 +353,153 @@ def test_run_open_protocol_state_quality():
     assert evals.min() > -1e-9
     assert rho[0, 0].real == pytest.approx(0.5, abs=1e-3)  # |e,0>
     assert rho[d, d].real == pytest.approx(0.5, abs=1e-3)  # |g,0>
+
+
+# criterion 6's order-2 cat schedules: (exchange areas, drive areas),
+# applied drive then exchange from |g,0>; (components, truncation level,
+# compile-space dimension) of the target
+CAT_SCHEDULES = {
+    "cat2": ([-0.8510, -0.3937, -0.1915, 0.0938, -0.1656],
+             [0.7397, 0.3290, 0.2926, -0.5195, 0.5745], ("2-even", 10, 16)),
+    "cat4": ([-0.4704, 0.2539, -0.0237, 0.2099], [1.5708] * 4, ("4-plus-plus", 8, 13)),
+}
+# their fidelities replayed by RK45 at cutoff 30 with default rates and
+# tolerances (lindblad_evolve on H_I(t), max_step 10 ps)
+RK45_FIDELITY = {"cat2": 0.9830043473883959, "cat4": 0.9781438855876625}
+
+
+def cat_schedule(kind, pairs=None):
+    exch, drive, (_, _, dim) = CAT_SCHEDULES[kind]
+    steps = []
+    for g_a, d_a in list(zip(exch, drive))[:pairs]:
+        steps += [PulseStep("drive", d_a, 0.0), PulseStep("njc", g_a, 0.0, osc_index=0, order=2)]
+    return PulseSchedule(steps=steps, space=make_space([dim]), budget=CouplingBudget())
+
+
+def cat_target(kind):
+    comp, trunc, dim = CAT_SCHEDULES[kind][2]
+    return cat_state(make_space([dim]), math.sqrt(2.0), comp, truncate_at=trunc)
+
+
+def rk45_replay(schedule, rates, cutoff, params=CircuitParams(), **kw):
+    """The schedule replayed by RK45 in the interaction frame, each pulse
+    through lindblad_evolve on H_I(t): the oracle for run_open_protocol."""
+    gen = InteractionPictureGenerator(params, cutoff)
+    omega = schedule.budget.omega
+    sp = np.zeros((2, 2), dtype=complex)
+    sp[QUBIT_E, QUBIT_G] = 1.0
+    rho = np.zeros((2 * cutoff, 2 * cutoff), dtype=complex)
+    i0 = schedule.initial[0] * cutoff + schedule.initial[1]
+    rho[i0, i0] = 1.0
+    for step in schedule.steps:
+        phase = step.phase + (math.pi if step.area < 0 else 0.0)
+        if step.kind == "drive":
+            h = omega * np.kron(sp * np.exp(1j * phase) + sp.T * np.exp(-1j * phase),
+                                np.eye(cutoff))
+            rho = lindblad_evolve(rho, h, rates, abs(step.area) / omega, **kw)
+        else:
+            h = lambda t, p=phase: gen(t, exchange_phase=p)
+            rho = lindblad_evolve(rho, h, rates, abs(step.area) / params.g2,
+                                  max_step=1e-11, **kw)
+    return rho
+
+
+def spy_pulses(monkeypatch):
+    """Record (h0, duration, step counts) of every _evolve_pulse call."""
+    seen = []
+    real = opensystem._evolve_pulse
+
+    def spy(rho, h0, v, dissipator, duration, rtol, atol):
+        out, steps = real(rho, h0, v, dissipator, duration, rtol, atol)
+        seen.append((h0, duration, steps))
+        return out, steps
+
+    monkeypatch.setattr(opensystem, "_evolve_pulse", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", sorted(RATE_CASES))
+def test_split_steps_match_rk45_on_short_pulses(case):
+    cutoff = 8
+    sched = PulseSchedule(
+        steps=[PulseStep("drive", 1.1, 0.4), PulseStep("njc", -0.2, 0.3, osc_index=0, order=2),
+               PulseStep("drive", -0.6, 0.0), PulseStep("njc", 0.1, 0.0, osc_index=0, order=2)],
+        space=make_space([cutoff]), budget=CouplingBudget())
+    rates = RATE_CASES[case]
+    rho, _ = run_open_protocol(sched, CircuitParams(), rates, cutoff=cutoff)
+    ref = rk45_replay(sched, rates, cutoff, rtol=1e-10, atol=1e-12)
+    assert np.abs(rho - ref).max() < 1e-7
+
+
+@pytest.mark.parametrize("kind", sorted(CAT_SCHEDULES))
+def test_split_steps_match_rk45_on_the_first_cat_pulses(kind):
+    sched = cat_schedule(kind, pairs=1)
+    rho, _ = run_open_protocol(sched, CircuitParams(), NoiseRates(), cutoff=30)
+    ref = rk45_replay(sched, NoiseRates(), 30)
+    assert np.abs(rho - ref).max() < 1e-6
+
+
+@pytest.fixture(scope="module")
+def cat_replays():
+    """Criterion 6's replays at cutoff 30: {(kind, tight): (rho, fid, pulses)}."""
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_pulses(mp)
+        for kind, tight in (("cat2", False), ("cat4", False), ("cat4", True)):
+            kw = {"rtol": 0.5e-8, "atol": 0.5e-10} if tight else {}
+            rho, fid = run_open_protocol(cat_schedule(kind), CircuitParams(), NoiseRates(),
+                                         cutoff=30, target=cat_target(kind), **kw)
+            out[kind, tight] = rho, fid, list(seen)
+            seen.clear()
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(CAT_SCHEDULES))
+def test_cat_fidelities_match_the_rk45_replay(cat_replays, kind):
+    rho, fid, _ = cat_replays[kind, False]
+    assert fid == pytest.approx(RK45_FIDELITY[kind], abs=1e-6)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(rho - rho.conj().T).max() < 1e-12
+    assert np.linalg.eigvalsh(rho).min() > -1e-12
+
+
+def test_exchange_steps_sample_the_fastest_frame_frequency(cat_replays):
+    # V's fastest term, sigma+ a'^2, turns at omega_q + 2 omega_o in the frame
+    params = CircuitParams()
+    fastest = params.omega_q + 2 * params.omega_o
+    exchanges = [(t, steps) for kind in CAT_SCHEDULES
+                 for h0, t, steps in cat_replays[kind, False][2] if h0.any()]
+    assert len(exchanges) == 9
+    for duration, steps in exchanges:
+        assert steps[0] >= fastest * duration / math.pi
+        assert steps == [steps[0] * 2 ** k for k in range(len(steps))]
+
+
+def test_tighter_tolerance_takes_more_steps(cat_replays):
+    def total(key):
+        return sum(sum(steps) for _, _, steps in cat_replays[key][2])
+
+    assert total(("cat4", True)) > total(("cat4", False))
+
+
+def test_non_finite_rho_raises_with_the_time():
+    cutoff = 2
+    rho = np.full((4, 4), np.nan, dtype=complex)
+    gen = InteractionPictureGenerator(CircuitParams(), cutoff)
+    with pytest.raises(IntegrationError, match="non-finite") as err:
+        opensystem._evolve_pulse(rho, gen.h0, gen(0.0), opensystem._dissipator(cutoff, NoiseRates()),
+                                 1e-10, 1e-8, 1e-10)
+    assert err.value.t == 1e-10
+
+
+def test_step_doubling_past_its_cap_raises_with_the_time(monkeypatch):
+    monkeypatch.setattr(opensystem, "_MAX_STEPS", 64)
+    sched = PulseSchedule(steps=[PulseStep("drive", 1.0, 0.0)], space=make_space([4]),
+                          budget=CouplingBudget())
+    with pytest.raises(IntegrationError, match="64 steps") as err:
+        run_open_protocol(sched, CircuitParams(), RATE_CASES["all"], cutoff=4,
+                          rtol=0.0, atol=0.0)
+    assert err.value.t == pytest.approx(1.0 / CouplingBudget().omega)
 
 
 def test_run_open_protocol_target_fidelity_sqrt_convention():

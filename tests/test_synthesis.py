@@ -147,16 +147,34 @@ def test_compilers_reject_support_at_the_cutoff():
         ftp_two_oscillator(TargetState(grid), (1, 1), space=make_space([4, 4]))
 
 
-def test_replay_fidelity_trims_support_beyond_cutoff():
-    # a target with weight above the cutoff cannot be fully reached; the
-    # overlap drops by exactly the missing weight, with no renormalization
+def test_replay_fidelity_rejects_support_beyond_cutoff():
+    # a target with weight above the cutoff cannot be reached; it raises
+    # instead of being cut to the levels the schedule's space holds
     sp = make_space([4])
     vec = np.zeros(6)
     vec[0] = 1.0
     vec[5] = 1.0
     t = TargetState(vec)
     sched = PulseSchedule(steps=[], space=sp)
-    assert replay_fidelity(sched, t) == pytest.approx(1.0 / math.sqrt(2.0))
+    with pytest.raises(DimensionError):
+        replay_fidelity(sched, t)
+    with pytest.raises(DimensionError):
+        refine_schedule(sched, t)
+
+
+def test_replay_and_refine_reject_support_past_the_schedule_cutoff():
+    sched = ftp_schedule(TargetState([0.6, 0, 0.8]), 2)
+    assert sched.space.osc_cutoffs == (5,)
+    vec = np.zeros(12)
+    vec[[0, 2, 10]] = 0.6, 0.6, 0.4
+    with pytest.raises(DimensionError, match="level 10"):
+        replay_fidelity(sched, TargetState(vec))
+    with pytest.raises(DimensionError, match="level 10"):
+        refine_schedule(sched, TargetState(vec))
+    # zero padding past the cutoff still loads
+    vec[10] = 0.0
+    assert replay_fidelity(sched, TargetState(vec)) == pytest.approx(
+        replay_fidelity(sched, TargetState(vec[:5])), abs=1e-15)
 
 
 def test_schedule_duration_formula():
