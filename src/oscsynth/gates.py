@@ -12,9 +12,11 @@ duration). A negative area is physically a phase flip: (area, phase) and
 
 Every step is therefore a set of 2x2 rotations on disjoint (|e>, |g>) index
 pairs. Replays apply steps through the pair-rotation kernel (step_pairs,
-RotationPlan), which costs O(dim) per step, and compilers turn one step's
-pairs in place with rotate; the dense builders (selective_drive_propagator,
-njc_propagator, step_propagator) are the reference both are tested against.
+RotationPlan), which costs O(dim) per step and also gives a replay's
+adjoint gradient (RotationPlan.value_and_grad), and compilers turn one
+step's pairs in place with rotate; the dense builders
+(selective_drive_propagator, njc_propagator, step_propagator) are the
+reference both are tested against.
 """
 
 from __future__ import annotations
@@ -323,18 +325,70 @@ class RotationPlan:
         ends = np.cumsum(self._counts)
         self._spans = [(eg, slice(end - len(w), end)) for (eg, w), end in zip(pairs, ends)]
 
-    def apply(self, state: np.ndarray, areas, phases) -> np.ndarray:
-        """Rotate the complex vector state in place, step by step; returns it."""
+    def _check(self, state: np.ndarray):
         if state.shape != (self._dim,):
             raise DimensionError(f"state shape {state.shape} does not match dimension {self._dim}")
-        theta = np.repeat(areas, self._counts) * self._weights
-        cos = np.cos(theta)
-        off = -1j * np.sin(theta) * np.exp(1j * np.repeat(phases, self._counts))
-        off = np.stack([off, -off.conj()])  # <e|U|g> over <g|U|e>
+
+    def apply(self, state: np.ndarray, areas, phases) -> np.ndarray:
+        """Rotate the complex vector state in place, step by step; returns it."""
+        self._check(state)
+        cos, off = _turn(np.repeat(areas, self._counts) * self._weights,
+                         np.repeat(phases, self._counts))
         for eg, k in self._spans:
             x = state[eg]
             state[eg] = cos[k] * x + off[:, k] * x[::-1]
         return state
+
+    def value_and_grad(self, initial: np.ndarray, target: np.ndarray, areas, phases):
+        """(value, d value / d areas, d value / d phases) for value =
+        1 - |<target|psi>|, the infidelity fidelity measures, where psi is
+        apply's replay of a copy of initial.
+
+        Two sweeps give the whole gradient. The forward sweep is apply's and
+        keeps each pair's values before its rotation (x); the backward sweep
+        carries the costate from target through the negated-area rotations
+        and keeps each pair's costate values at its step (lam). A step's
+        overlap derivative is the sum over its pairs of conj(lam) dU x, with
+        dU in closed form: in area, weight times the rotation at angle
+        theta + pi/2 (cos -> -sin, sin -> cos); in phase, the off-diagonals
+        times (i, -i). At |<target|psi>| = 0 the gradient is zero.
+        """
+        state = np.array(initial, dtype=complex)
+        self._check(state)
+        theta = np.repeat(areas, self._counts) * self._weights
+        phase = np.repeat(phases, self._counts)
+        cos, off = _turn(theta, phase)
+        x = np.empty((2, len(theta)), dtype=complex)
+        for eg, k in self._spans:
+            x[:, k] = state[eg]
+            state[eg] = cos[k] * x[:, k] + off[:, k] * x[::-1, k]
+        overlap = np.vdot(target, state)
+        value = 1.0 - abs(overlap)
+        if overlap == 0 or not self._spans:
+            return value, np.zeros(len(self._spans)), np.zeros(len(self._spans))
+        lam = np.array(target, dtype=complex)
+        lams = np.empty_like(x)
+        for eg, k in reversed(self._spans):
+            lams[:, k] = y = lam[eg]
+            lam[eg] = cos[k] * y - off[:, k] * y[::-1]
+        lams = lams.conj()
+        cos_d, off_d = _turn(theta + math.pi / 2, phase)
+        d_area = self._weights * (lams * (cos_d * x + off_d * x[::-1])).sum(axis=0)
+        d_phase = lams * off * x[::-1]
+        d_phase = 1j * (d_phase[0] - d_phase[1])
+        starts = np.cumsum(self._counts) - self._counts
+        # d|z| = Re(conj(z) dz) / |z|
+        scale = -overlap.conjugate() / abs(overlap)
+        return (value, (scale * np.add.reduceat(d_area, starts)).real,
+                (scale * np.add.reduceat(d_phase, starts)).real)
+
+
+def _turn(theta, phase):
+    """(cos, off) of the 2x2 rotation by angle theta at phase, elementwise
+    over pairs: off stacks <e|U|g> = -i sin e^{i phase} over <g|U|e> =
+    -conj(<e|U|g>)."""
+    off = -1j * np.sin(theta) * np.exp(1j * phase)
+    return np.cos(theta), np.stack([off, -off.conj()])
 
 
 def rotate(state: np.ndarray, eg: np.ndarray, weights: np.ndarray, area: float,
@@ -342,10 +396,9 @@ def rotate(state: np.ndarray, eg: np.ndarray, weights: np.ndarray, area: float,
     """Turn the pairs eg of state in place, each by angle area * weight,
     with RotationPlan's matrix at phase; returns state. A negated area
     turns them back."""
-    theta = area * weights
-    off = -1j * np.sin(theta) * np.exp(1j * phase)
+    cos, off = _turn(area * weights, phase)
     x = state[eg]
-    state[eg] = np.cos(theta) * x + np.stack([off, -off.conj()]) * x[::-1]
+    state[eg] = cos * x + off * x[::-1]
     return state
 
 

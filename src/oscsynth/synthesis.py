@@ -18,7 +18,8 @@ two-oscillator compiler in multiosc climbs each oscillator in turn, and
 the planner counts and times the same plan. invert_symmetric handles
 targets confined to a single rotational-symmetry column {k, n+k, 2n+k,
 ...}: one column of solved kills. Exact-semantics leakage of the climbing
-pulses is what refine_schedule cleans up.
+pulses is what refine_schedule cleans up, by a gradient search (L-BFGS-B)
+through the same pair-rotation kernel.
 """
 
 from __future__ import annotations
@@ -116,11 +117,14 @@ def _load_target(space: TruncatedSpace, amps: np.ndarray) -> np.ndarray:
     """Target amplitudes (one axis per oscillator) on |g> in the flat basis
     of space, cut after the highest occupied level on each oscillator, so
     zero padding past a cutoff is accepted; support at or past a cutoff
-    raises DimensionError."""
+    raises DimensionError, and a target with no support ValueError."""
     amps = np.asarray(amps)
     if amps.ndim != space.n_osc:
         raise ValueError("target oscillator count does not match the schedule space")
-    top = np.argwhere(_support(amps)).max(axis=0)
+    occupied = np.argwhere(_support(amps))
+    if not len(occupied):
+        raise ValueError("target has no support: no amplitude above 1e-12")
+    top = occupied.max(axis=0)
     for l, d in zip(top, space.osc_cutoffs):
         if l >= d:
             raise DimensionError(f"target support at Fock level {l} outside cutoff {d}")
@@ -299,34 +303,37 @@ def ftp_schedule(target: TargetState, n: int,
 
 def refine_schedule(schedule: PulseSchedule, target: TargetState,
                     semantics: str = "exact") -> PulseSchedule:
-    """Polish areas and phases by derivative-free minimization of the replay
-    infidelity under the given semantics. Never returns something worse
-    than the input."""
+    """Polish areas and phases by L-BFGS-B on the replay infidelity under
+    the given semantics, with its adjoint gradient from the pair-rotation
+    kernel (RotationPlan.value_and_grad). Never returns something worse
+    than the input; the reported fidelity is that of a fresh replay of the
+    returned schedule."""
     from scipy.optimize import minimize
 
     steps = schedule.steps
-    # the objective replays straight from x on pairs gathered once, through
-    # the same kernel as apply_schedule
+    out = replace_schedule(schedule, steps=list(steps))
+    out.fidelity = replay_fidelity(out, target, semantics)
+    if not steps:
+        return out
     plan = gates.RotationPlan(schedule.space, steps, semantics)
     initial = _initial_vector(schedule)
     tvec = _load_target(schedule.space, target.amplitudes)
-    x0 = np.array([v for s in steps for v in (s.area, s.phase)])
+    p = len(steps)
+    x0 = np.array([s.area for s in steps] + [s.phase for s in steps])
 
     def objective(x):
-        return 1.0 - fidelity(plan.apply(initial.copy(), x[0::2], x[1::2]), tvec)
+        value, d_areas, d_phases = plan.value_and_grad(initial, tvec, x[:p], x[p:])
+        return value, np.concatenate([d_areas, d_phases])
 
-    f0 = objective(x0)
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12})
-    if res.fun < f0:
-        best = replace_schedule(schedule, steps=[
-            replace(s, area=float(res.x[2 * i]), phase=float(res.x[2 * i + 1]))
-            for i, s in enumerate(steps)])
-        best.fidelity = 1.0 - res.fun
-        return best
-    out = replace_schedule(schedule, steps=list(steps))
-    out.fidelity = 1.0 - f0
-    return out
+    res = minimize(objective, x0, jac=True, method="L-BFGS-B",
+                   options={"ftol": 1e-15, "gtol": 1e-10})
+    # PulseStep re-wraps the phases, so the optimizer's value is not quite
+    # the built schedule's: compare fresh replays
+    best = replace_schedule(schedule, steps=[
+        replace(s, area=float(a), phase=float(ph))
+        for s, a, ph in zip(steps, res.x[:p], res.x[p:])])
+    best.fidelity = replay_fidelity(best, target, semantics)
+    return best if best.fidelity > out.fidelity else out
 
 
 def replace_schedule(schedule: PulseSchedule, **kw) -> PulseSchedule:

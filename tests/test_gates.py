@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscsynth.fockspace import QUBIT_E, QUBIT_G, DimensionError, make_space
+from oscsynth.fockspace import QUBIT_E, QUBIT_G, DimensionError, fidelity, make_space
 from oscsynth.gates import (
     DispersiveModel,
     PulseStep,
+    RotationPlan,
     apply_step,
     conditional_phase_space_gate,
     conditional_squeezing_via_sidebands,
@@ -24,7 +25,9 @@ from oscsynth.gates import (
     stirling_first,
     xi,
 )
+from oscsynth.multiosc import ftp_two_oscillator
 from oscsynth.synthesis import PulseSchedule, apply_schedule
+from oscsynth.targets import TargetState
 
 TWO_PI = 2 * math.pi
 
@@ -220,6 +223,60 @@ def test_schedule_replay_matches_dense_product(cutoffs, semantics):
     assert np.array_equal(apply_schedule(PulseSchedule(steps=[], space=sp), psi), psi)
     with pytest.raises(DimensionError):
         apply_schedule(PulseSchedule(steps=steps, space=sp), np.append(psi, 0.0))
+
+
+def _gradient_case(case, rng):
+    """(plan, initial, target, areas, phases) away from any optimum."""
+    if case == "two-oscillator":
+        amps = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        sched = ftp_two_oscillator(TargetState(amps), (2, 1))
+        initial = sched.space.basis_state(*sched.initial)
+        target = apply_schedule(sched, initial)  # the compiled target, exactly
+        areas = np.array([s.area for s in sched.steps])
+        areas += rng.normal(scale=0.3, size=len(areas))
+        return (RotationPlan(sched.space, sched.steps, "exact"), initial, target, areas,
+                np.array([s.phase for s in sched.steps]))
+    sp = make_space([9] if case != "joint" else [5, 7])
+    cases = _kernel_cases(sp, rng)
+    semantics = "exact" if case == "exact" else "ideal-pair"
+    steps = [step for step, _ in cases]
+    # selective drives and every njc order, at areas of both signs
+    areas = np.array([s.area for s in steps]) * rng.uniform(0.5, 1.5, len(steps))
+    assert (areas < 0).any() and any(s.selectivity for s in steps)
+    return (RotationPlan(sp, steps, semantics), _random_state(rng, sp.dim),
+            _random_state(rng, sp.dim), areas, rng.uniform(-math.pi, math.pi, len(steps)))
+
+
+@pytest.mark.parametrize("case", ["exact", "ideal-pair", "joint", "two-oscillator"])
+def test_value_and_grad_matches_central_differences(case):
+    plan, initial, target, areas, phases = _gradient_case(case, np.random.default_rng(11))
+    value, d_areas, d_phases = plan.value_and_grad(initial, target, areas, phases)
+    replay = plan.apply(initial.copy(), areas, phases)
+    assert abs(value - (1.0 - fidelity(replay, target))) <= 1e-15
+    assert 0.0 < value < 1.0
+
+    def infidelity(a, p):
+        return 1.0 - fidelity(plan.apply(initial.copy(), a, p), target)
+
+    h = 1e-6
+    eye = np.eye(len(areas)) * h
+    fd_areas = [(infidelity(areas + e, phases) - infidelity(areas - e, phases)) / (2 * h)
+                for e in eye]
+    fd_phases = [(infidelity(areas, phases + e) - infidelity(areas, phases - e)) / (2 * h)
+                 for e in eye]
+    for grad, fd in ((d_areas, fd_areas), (d_phases, fd_phases)):
+        fd = np.array(fd)
+        assert np.abs(grad - fd).max() <= 1e-7 * np.abs(fd).max()
+
+
+def test_value_and_grad_is_zero_at_zero_overlap():
+    # a plain drive keeps |g,0> inside {|e,0>, |g,0>}: no overlap with |g,3>
+    sp = make_space([4])
+    plan = RotationPlan(sp, [PulseStep("drive", 0.4, 0.2)])
+    value, d_areas, d_phases = plan.value_and_grad(
+        sp.basis_state(QUBIT_G, 0), sp.basis_state(QUBIT_G, 3), [0.4], [0.2])
+    assert value == 1.0
+    assert np.array_equal(d_areas, [0.0]) and np.array_equal(d_phases, [0.0])
 
 
 @pytest.mark.parametrize("step, level", [

@@ -355,6 +355,12 @@ def test_run_open_protocol_state_quality():
     assert rho[d, d].real == pytest.approx(0.5, abs=1e-3)  # |g,0>
 
 
+def test_run_open_protocol_rejects_a_target_with_no_support():
+    sched = PulseSchedule(steps=[], space=make_space([4]), budget=CouplingBudget())
+    with pytest.raises(ValueError, match="no support"):
+        run_open_protocol(sched, cutoff=4, target=np.zeros(4))
+
+
 # criterion 6's order-2 cat schedules: (exchange areas, drive areas),
 # applied drive then exchange from |g,0>; (components, truncation level,
 # compile-space dimension) of the target

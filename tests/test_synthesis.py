@@ -226,6 +226,27 @@ def test_refine_reports_the_fidelity_of_a_fresh_replay():
     assert [s.pair_level for s in polished.steps] == [s.pair_level for s in sched.steps]
 
 
+def test_refine_converges_on_a_random_order2_target():
+    # top Fock level 6 at order 2: 12 steps, 24 parameters; a derivative-free
+    # search stopped at 8e-5 infidelity on this target
+    rng = np.random.default_rng(1)
+    target = TargetState(rng.normal(size=7) + 1j * rng.normal(size=7))
+    sched = ftp_schedule(target, 2)
+    assert 2 * len(sched.steps) == 24
+    assert 1.0 - replay_fidelity(sched, target, semantics="exact") > 0.5
+    polished = refine_schedule(sched, target, semantics="exact")
+    assert 1.0 - polished.fidelity <= 1e-9
+    assert replay_fidelity(polished, target, semantics="exact") == polished.fidelity
+
+
+def test_refine_zero_step_schedule_returns_a_replayed_copy():
+    sched = PulseSchedule(steps=[], space=make_space([4]))
+    target = TargetState([0.6, 0, 0, 0.8])
+    polished = refine_schedule(sched, target)
+    assert polished is not sched and polished.steps == []
+    assert polished.fidelity == replay_fidelity(sched, target) == pytest.approx(0.6)
+
+
 def test_json_round_trip_preserves_replay():
     sp = make_space([30])
     target = cat_state(sp, 2.0, "2-even", truncate_at=12)
