@@ -27,8 +27,8 @@ from .planner import (base_step_count, punch_card, scaling_table, scaling_table_
                       steps_arbitrary, time_ftp, time_le, time_symmetric,
                       two_oscillator_plan)
 from .synthesis import (DEFAULT_G, DEFAULT_OMEGA, CouplingBudget,
-                        ftp_schedule, invert_symmetric, schedule_from_json,
-                        schedule_to_json)
+                        ftp_schedule, invert_symmetric, replay_fidelity,
+                        schedule_from_json, schedule_to_json)
 from .targets import TargetParseError, parse_target
 
 TWOPI = 2.0 * math.pi
@@ -96,6 +96,13 @@ def parse_budget_file(path) -> CouplingBudget:
     return CouplingBudget(omega=omega, g=g)
 
 
+def _usage_error(exc: Exception) -> int:
+    """Report a bad input and return the usage exit code. A KeyError's
+    message is its first argument (its str() adds quotes)."""
+    print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _angular(text: str) -> float:
     """Parse an angular frequency argument: `<hz>*2pi` or `<radps>radps`."""
     text = text.strip().lower()
@@ -131,16 +138,15 @@ def cmd_synthesize(args) -> int:
                 schedule = ftp_schedule(target, order, budget=budget, space=space)
             else:
                 schedule = invert_symmetric(target, order, space=space, budget=budget)
+        if args.semantics:
+            schedule.semantics = "ideal-pair" if args.semantics == "ideal" else "exact"
+            schedule.fidelity = replay_fidelity(schedule, target)
+        # serialized before --out is opened, so a failure leaves no file
+        text = schedule_to_json(schedule)
     except (TargetParseError, ValueError, RuntimeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.semantics:
-        sem = "ideal-pair" if args.semantics == "ideal" else "exact"
-        from .synthesis import replay_fidelity
-        schedule.semantics = sem
-        schedule.fidelity = replay_fidelity(schedule, target)
+        return _usage_error(exc)
     with open(args.out, "w") as fh:
-        fh.write(schedule_to_json(schedule))
+        fh.write(text)
     write_manifest(args.out, "synthesize", vars(args), inputs, [args.out], started)
     fid = schedule.fidelity if schedule.fidelity is not None else 0.0
     dur = schedule.duration
@@ -183,9 +189,8 @@ def cmd_plan(args) -> int:
             target = parse_target(args.target, space=space)
             card = punch_card(target, order)
             n_arb, k_arb = steps_arbitrary(card)
-            top = int(np.nonzero(np.abs(target.amplitudes) > 1e-12)[0][-1])
             t_ftp = time_ftp(card, budget)
-            t_lin = time_le(top, budget)
+            t_lin = time_le(target.max_index, budget)
             if args.csv:
                 print("n,heights,N_arb,K_arb,T_ftp_ns,T_le_ns")
                 hs = ";".join(str(h) for h in card.heights)
@@ -198,8 +203,7 @@ def cmd_plan(args) -> int:
                       f" = {n_arb} (upper bound {k_arb})")
                 print(f"T_FTP: {t_ftp * 1e9:.2f} ns   T_LE: {t_lin * 1e9:.2f} ns")
     except (TargetParseError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     if args.out:
         write_manifest(args.out, "plan", vars(args), [], [args.out], started)
     return EXIT_OK
@@ -237,8 +241,7 @@ def cmd_estimate(args) -> int:
             print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
             return EXIT_USAGE
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -277,8 +280,7 @@ def cmd_open_sim(args) -> int:
         if args.target:
             target = parse_target(args.target, space=make_space([args.cutoff]))
     except (FileNotFoundError, ValueError, TargetParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     try:
         rho, fid = run_open_protocol(schedule, params, rates,
                                      cutoff=args.cutoff, target=target)
@@ -294,8 +296,7 @@ def cmd_open_sim(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
     except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     write_manifest(args.out, "open-sim", vars(args), inputs, outputs, started)
     if fid is not None:
         print(f"fidelity: {fid:.8f}")

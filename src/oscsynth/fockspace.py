@@ -39,7 +39,6 @@ class TruncatedSpace:
     """
 
     osc_cutoffs: tuple
-    qubit_dim: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "osc_cutoffs", tuple(int(d) for d in self.osc_cutoffs))
@@ -58,7 +57,7 @@ class TruncatedSpace:
 
     @property
     def dim(self) -> int:
-        return self.qubit_dim * self.osc_dim
+        return 2 * self.osc_dim
 
     @property
     def n_osc(self) -> int:
@@ -99,7 +98,7 @@ def _single_ladder(dim: int) -> np.ndarray:
 
 def _embed_osc(space: TruncatedSpace, osc_index: int, op: np.ndarray) -> np.ndarray:
     """Kron an oscillator-local operator into the full space (identity elsewhere)."""
-    mats = [np.eye(space.qubit_dim, dtype=complex)]
+    mats = [np.eye(2, dtype=complex)]
     for i, d in enumerate(space.osc_cutoffs):
         mats.append(op if i == osc_index else np.eye(d, dtype=complex))
     out = mats[0]
@@ -190,9 +189,9 @@ def ptrace_qubit(space: TruncatedSpace, state: np.ndarray) -> np.ndarray:
     """Reduced oscillator density matrix after tracing out the qubit."""
     od = space.osc_dim
     if state.ndim == 1:
-        psi = state.reshape(space.qubit_dim, od)
+        psi = state.reshape(2, od)
         return np.einsum("qi,qj->ij", psi, psi.conj())
-    rho = state.reshape(space.qubit_dim, od, space.qubit_dim, od)
+    rho = state.reshape(2, od, 2, od)
     return np.einsum("qiqj->ij", rho)
 
 

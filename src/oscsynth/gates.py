@@ -287,6 +287,8 @@ def step_pairs(space: TruncatedSpace, step: PulseStep, semantics: str = "exact")
     one at its selectivity label; an njc step rotates every order-n pair
     under exact semantics, and under ideal-pair semantics only the one at
     its pair_level. A labelled step's single pair comes from space.index."""
+    if semantics not in ("exact", "ideal-pair"):
+        raise ValueError(f"unknown semantics {semantics!r}")
     if step.kind == "drive":
         osc, n, label = 0, 0, step.selectivity
     else:
@@ -294,8 +296,6 @@ def step_pairs(space: TruncatedSpace, step: PulseStep, semantics: str = "exact")
             raise DimensionError(f"njc order {step.order} must be >= 1")
         osc, n = step.osc_index, step.order
         label = None if semantics == "exact" else step.pair_level
-        if label is not None and semantics != "ideal-pair":
-            raise ValueError(f"unknown njc semantics {semantics!r}")
     if label is None:
         table = pair_table(space, osc, n)
         return table.eg, table.weights

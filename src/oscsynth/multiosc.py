@@ -18,8 +18,8 @@ import numpy as np
 
 from .fockspace import QUBIT_G, TruncatedSpace, make_space
 from .gates import apply_step
-from .synthesis import CouplingBudget, PulseSchedule, _compiled, _support, kill_plan
-from .targets import TargetState
+from .synthesis import CouplingBudget, PulseSchedule, _compiled, kill_plan
+from .targets import TargetState, support
 
 
 @dataclass
@@ -36,8 +36,7 @@ class TwoOscSchedule(PulseSchedule):
 
 def ftp_two_oscillator(target: TargetState, orders: tuple,
                        budget: CouplingBudget = None,
-                       space: TruncatedSpace = None,
-                       _label: str = None) -> TwoOscSchedule:
+                       space: TruncatedSpace = None) -> TwoOscSchedule:
     """Compile an arbitrary two-oscillator target.
 
     Two climbing stages at the requested orders, then the remaining base
@@ -49,14 +48,14 @@ def ftp_two_oscillator(target: TargetState, orders: tuple,
     if amps.ndim != 2:
         raise ValueError("ftp_two_oscillator compiles two-oscillator targets")
     if space is None:
-        top1, top2 = np.argwhere(_support(amps)).max(axis=0)
+        top1, top2 = np.argwhere(support(amps)).max(axis=0)
         space = make_space((max(top1 + n1 + 1, n1 + 2), max(top2 + n2 + 1, n2 + 2)))
 
     # the base kills come last in inversion order, so the forward replay
     # prepares the base block first
-    return _compiled(space, kill_plan(_support(amps), orders), (QUBIT_G, 0, 0), target,
+    return _compiled(space, kill_plan(support(amps), orders), (QUBIT_G, 0, 0), target,
                      TwoOscSchedule, budget=budget, semantics="ideal-pair",
-                     target_label=_label if _label is not None else target.label)
+                     target_label=target.label)
 
 
 def invert_two_oscillator(target: TargetState, orders: tuple,
@@ -73,7 +72,7 @@ def invert_two_oscillator(target: TargetState, orders: tuple,
     amps = np.asarray(target.amplitudes)
     if amps.ndim != 2:
         raise ValueError("invert_two_oscillator compiles two-oscillator targets")
-    for l1, l2 in np.argwhere(np.abs(amps) > 1e-12):
+    for l1, l2 in np.argwhere(support(amps)):
         if l1 % n1 or l2 % n2:
             raise ValueError(
                 f"support at ({l1},{l2}) breaks the ({n1},{n2}) lattice symmetry")

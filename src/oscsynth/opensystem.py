@@ -383,6 +383,10 @@ def run_open_protocol(schedule, params: CircuitParams = None,
     qubit0, level0 = schedule.initial
     if not 0 <= level0 < cutoff:
         raise ValueError(f"initial Fock level {level0} is outside cutoff {cutoff}")
+    # a target that cannot load fails before any pulse is evolved
+    tvec = None
+    if target is not None:
+        tvec = _load_target(make_space([cutoff]), getattr(target, "amplitudes", target))
     omega = schedule.budget.omega
     gen = InteractionPictureGenerator(params, cutoff)
     dissipator = _dissipator(cutoff, rates)
@@ -412,11 +416,7 @@ def run_open_protocol(schedule, params: CircuitParams = None,
         else:
             raise ValueError(f"unknown step kind {step.kind!r}")
 
-    fid = None
-    if target is not None:
-        tamps = target.amplitudes if hasattr(target, "amplitudes") else target
-        fid = fidelity(rho, _load_target(make_space([cutoff]), tamps))
-    return rho, fid
+    return rho, None if tvec is None else fidelity(rho, tvec)
 
 
 def wigner_comparison(schedule, params: CircuitParams, rates: NoiseRates,
@@ -440,10 +440,10 @@ def wigner_comparison(schedule, params: CircuitParams, rates: NoiseRates,
     return w_ideal, w_open, dev
 
 
-def density_matrix_to_csv(rho: np.ndarray, threshold: float = 1e-14) -> str:
-    """CSV rows row,col,re,im for entries above the magnitude threshold."""
+def density_matrix_to_csv(rho: np.ndarray) -> str:
+    """CSV rows row,col,re,im for entries of magnitude above 1e-14."""
     lines = ["row,col,re,im"]
-    rows, cols = np.nonzero(np.abs(rho) > threshold)
+    rows, cols = np.nonzero(np.abs(rho) > 1e-14)
     for r, c in zip(rows, cols):
         v = rho[r, c]
         lines.append(f"{r},{c},{v.real:.12g},{v.imag:.12g}")

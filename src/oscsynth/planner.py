@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gates import xi
-from .synthesis import CouplingBudget, _support, kill_plan
-from .targets import TargetState
+from .synthesis import CouplingBudget, kill_plan
+from .targets import TargetState, support
 
 PI = math.pi
 
@@ -71,10 +71,12 @@ class MultiPunchCard:
         return int(self.base_steps + self.first_heights.sum() + self.second_heights.sum())
 
 
-def punch_card(target: TargetState, n: int, threshold: float = 1e-12) -> PunchCard:
+def punch_card(target: TargetState, n: int) -> PunchCard:
     """Punch card of a single-oscillator target for interaction order n."""
     amps = np.asarray(target.amplitudes if isinstance(target, TargetState) else target)
-    occ_levels = np.nonzero(np.abs(amps) > threshold)[0]
+    if amps.ndim != 1:
+        raise ValueError("punch_card needs a single-oscillator target")
+    occ_levels = np.flatnonzero(support(amps))
     top_row = max((int(l) // n for l in occ_levels), default=0)
     grid = np.zeros((top_row + 1, n), dtype=bool)
     for l in occ_levels:
@@ -111,11 +113,10 @@ def base_step_count(n: int, available_orders=None) -> int:
     return j
 
 
-def steps_arbitrary(card: PunchCard, j_n: int = None):
+def steps_arbitrary(card: PunchCard):
     """(N_arb, K_arb): exact step count and the dense upper bound."""
     n = card.order
-    if j_n is None:
-        j_n = base_step_count(n)
+    j_n = base_step_count(n)
     n_arb = j_n + sum(card.heights)
     top_level = 0
     for k in range(n):
@@ -129,7 +130,7 @@ def steps_arbitrary(card: PunchCard, j_n: int = None):
 
 def _kill_time(budget: CouplingBudget, n: int, top: int) -> float:
     """One kill: a drive half-period plus an order-n swap out of level top."""
-    return PI / budget.omega + PI / (budget.g[n] * xi(top, n))
+    return PI / budget.omega + PI / (budget.coupling(n) * xi(top, n))
 
 
 def time_symmetric(K: int, n: int, budget: CouplingBudget) -> float:
@@ -148,23 +149,21 @@ def time_le(L: int, budget: CouplingBudget, drive_term: bool = True) -> float:
     """
     if L < 0:
         raise ValueError("L must be non-negative")
-    g1 = budget.g[1]
+    g1 = budget.coupling(1)
     t = L * PI / budget.omega if drive_term else 0.0
     for j in range(1, L + 1):
         t += PI / (g1 * math.sqrt(j + 1))
     return t
 
 
-def time_ftp(card: PunchCard, budget: CouplingBudget, base_time: float = None) -> float:
+def time_ftp(card: PunchCard, budget: CouplingBudget) -> float:
     """Fine-tune-then-populate time: base preparation plus per-column climbs.
 
-    base_time defaults to the order-1 symmetric ladder time with K = n
-    steps, which is the accounting the reference climb/ladder comparisons
-    use.
+    The base costs the order-1 symmetric ladder time with K = n steps,
+    which is the accounting the reference climb/ladder comparisons use.
     """
     n = card.order
-    if base_time is None:
-        base_time = time_symmetric(n, 1, budget) if n > 1 else 0.0
+    base_time = time_symmetric(n, 1, budget) if n > 1 else 0.0
     return base_time + sum(_kill_time(budget, n, j * n + k)
                            for k in range(n) for j in range(1, card.heights[k] + 1))
 
@@ -176,19 +175,17 @@ def time_two_oscillator(L1: int, n1: int, L2: int, n2: int, budget: CouplingBudg
     return time_symmetric(L1, n1, budget) + (L1 + 1) * time_symmetric(L2, n2, budget)
 
 
-def multi_punch_card(target: TargetState, orders: tuple, threshold: float = 1e-12) -> MultiPunchCard:
+def multi_punch_card(target: TargetState, orders: tuple) -> MultiPunchCard:
     """Bin the two-oscillator kill plan of a target by stage."""
     n1, n2 = orders
-    amps = np.asarray(target.amplitudes)
-    if amps.ndim != 2:
+    if target.n_osc != 2:
         raise ValueError("multi_punch_card needs a two-oscillator target")
-    occ = np.abs(amps) > threshold
     first = np.zeros((n1, n2), dtype=int)
-    second = np.zeros((np.flatnonzero(occ.any(axis=1)).max(initial=0) + 1, n2), dtype=int)
+    second = np.zeros((target.max_index + 1, n2), dtype=int)
     base_steps = 0
     # an order-1 climb that shares its signature with a climbing stage is
     # empty: that stage has already folded the oscillator to level 0
-    for osc_index, (l1, l2), n, _ in kill_plan(occ, orders):
+    for osc_index, (l1, l2), n, _ in kill_plan(support(target.amplitudes), orders):
         if (osc_index, n) == (1, n2):
             second[l1, l2 % n2] += 1
         elif (osc_index, n) == (0, n1):
@@ -202,7 +199,7 @@ def multi_punch_card(target: TargetState, orders: tuple, threshold: float = 1e-1
 def two_oscillator_plan(target: TargetState, orders: tuple, budget: CouplingBudget):
     """(steps, time) of the compiled two-oscillator protocol: one step per
     kill of its plan, each costing a drive and an exchange pi-pulse."""
-    plan = kill_plan(_support(np.asarray(target.amplitudes)), orders)
+    plan = kill_plan(support(target.amplitudes), orders)
     return len(plan), sum(_kill_time(budget, n, src[osc_index] + n)
                           for osc_index, src, n, _ in plan)
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import gates
 from .fockspace import QUBIT_E, QUBIT_G, DimensionError, TruncatedSpace, fidelity, make_space
 from .gates import PulseStep, xi
-from .targets import TargetState
+from .targets import TargetState, support
 
 TWOPI = 2.0 * math.pi
 
@@ -55,13 +55,15 @@ class CouplingBudget:
         if self.omega <= 0 or any(v <= 0 for v in self.g.values()):
             raise ValueError("coupling magnitudes must be positive")
 
-    def coupling_for(self, step: PulseStep) -> float:
-        if step.kind == "drive":
-            return self.omega
+    def coupling(self, n: int) -> float:
+        """The order-n exchange coupling g_n; KeyError naming n if there is none."""
         try:
-            return self.g[step.order]
+            return self.g[n]
         except KeyError:
-            raise KeyError(f"budget has no coupling for order {step.order}")
+            raise KeyError(f"budget has no coupling for order {n}") from None
+
+    def coupling_for(self, step: PulseStep) -> float:
+        return self.omega if step.kind == "drive" else self.coupling(step.order)
 
 
 @dataclass
@@ -121,9 +123,9 @@ def _load_target(space: TruncatedSpace, amps: np.ndarray) -> np.ndarray:
     amps = np.asarray(amps)
     if amps.ndim != space.n_osc:
         raise ValueError("target oscillator count does not match the schedule space")
-    occupied = np.argwhere(_support(amps))
+    occupied = np.argwhere(support(amps))
     if not len(occupied):
-        raise ValueError("target has no support: no amplitude above 1e-12")
+        raise ValueError("target has no support: no occupied level")
     top = occupied.max(axis=0)
     for l, d in zip(top, space.osc_cutoffs):
         if l >= d:
@@ -135,11 +137,6 @@ def _load_target(space: TruncatedSpace, amps: np.ndarray) -> np.ndarray:
     tvec = np.zeros(space.dim, dtype=complex)
     tvec[QUBIT_G * od : (QUBIT_G + 1) * od] = grid.reshape(-1)
     return tvec
-
-
-def _support(amps: np.ndarray) -> np.ndarray:
-    """The occupied levels of target amplitudes, as booleans."""
-    return np.abs(amps) > 1e-12
 
 
 def kill_plan(support: np.ndarray, orders: tuple) -> list:
@@ -264,7 +261,7 @@ def invert_symmetric(target: TargetState, n: int,
     if target.n_osc != 1:
         raise ValueError("invert_symmetric compiles single-oscillator targets")
     offset = target.symmetry_offset
-    if any(abs(a) > 1e-12 and (l - offset) % n for l, a in enumerate(target.amplitudes)):
+    if any((l - offset) % n for l in np.flatnonzero(support(target.amplitudes))):
         raise ValueError(f"target support is not confined to a single order-{n} column")
     top_level = target.max_index
     need = max(top_level + n + 1, n + offset + 1)
@@ -281,8 +278,7 @@ def invert_symmetric(target: TargetState, n: int,
 
 def ftp_schedule(target: TargetState, n: int,
                  budget: CouplingBudget = None,
-                 space: TruncatedSpace = None,
-                 semantics: str = "ideal-pair") -> PulseSchedule:
+                 space: TruncatedSpace = None) -> PulseSchedule:
     """Fine-tune-then-populate compiler for arbitrary single-oscillator targets.
 
     Builds the order-1 base over Fock 0..n-1, one pair per level up to the
@@ -297,8 +293,8 @@ def ftp_schedule(target: TargetState, n: int,
     if space is None:
         space = make_space([max(target.max_index + n + 1, 2 * n + 1)])
 
-    return _compiled(space, kill_plan(_support(target.amplitudes), (n,)), (QUBIT_G, 0),
-                     target, budget=budget, target_label=target.label, semantics=semantics)
+    return _compiled(space, kill_plan(support(target.amplitudes), (n,)), (QUBIT_G, 0),
+                     target, budget=budget, target_label=target.label, semantics="ideal-pair")
 
 
 def refine_schedule(schedule: PulseSchedule, target: TargetState,
@@ -306,13 +302,13 @@ def refine_schedule(schedule: PulseSchedule, target: TargetState,
     """Polish areas and phases by L-BFGS-B on the replay infidelity under
     the given semantics, with its adjoint gradient from the pair-rotation
     kernel (RotationPlan.value_and_grad). Never returns something worse
-    than the input; the reported fidelity is that of a fresh replay of the
-    returned schedule."""
+    than the input; the returned schedule carries the semantics it was
+    refined under, and its fidelity is that of a fresh replay."""
     from scipy.optimize import minimize
 
     steps = schedule.steps
-    out = replace_schedule(schedule, steps=list(steps))
-    out.fidelity = replay_fidelity(out, target, semantics)
+    out = replace_schedule(schedule, steps=list(steps), semantics=semantics)
+    out.fidelity = replay_fidelity(out, target)
     if not steps:
         return out
     plan = gates.RotationPlan(schedule.space, steps, semantics)
@@ -329,21 +325,16 @@ def refine_schedule(schedule: PulseSchedule, target: TargetState,
                    options={"ftol": 1e-15, "gtol": 1e-10})
     # PulseStep re-wraps the phases, so the optimizer's value is not quite
     # the built schedule's: compare fresh replays
-    best = replace_schedule(schedule, steps=[
+    best = replace_schedule(out, steps=[
         replace(s, area=float(a), phase=float(ph))
         for s, a, ph in zip(steps, res.x[:p], res.x[p:])])
-    best.fidelity = replay_fidelity(best, target, semantics)
+    best.fidelity = replay_fidelity(best, target)
     return best if best.fidelity > out.fidelity else out
 
 
 def replace_schedule(schedule: PulseSchedule, **kw) -> PulseSchedule:
-    data = dict(
-        steps=schedule.steps, space=schedule.space, budget=schedule.budget,
-        target_label=schedule.target_label, fidelity=schedule.fidelity,
-        semantics=schedule.semantics, initial=schedule.initial,
-    )
-    data.update(kw)
-    return PulseSchedule(**data)
+    """A copy of schedule, of its own type, with the fields in kw replaced."""
+    return replace(schedule, **kw)
 
 
 # ---------------------------------------------------------------------------

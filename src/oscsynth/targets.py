@@ -50,8 +50,8 @@ class TargetState:
             raise ValueError("target state cannot be zero")
         self.amplitudes = self.amplitudes / nrm
         if self.amplitudes.ndim == 1 and self.symmetry_order > 1:
-            for l, amp in enumerate(self.amplitudes):
-                if abs(amp) > 1e-12 and (l - self.symmetry_offset) % self.symmetry_order:
+            for l in np.flatnonzero(support(self.amplitudes)):
+                if (l - self.symmetry_offset) % self.symmetry_order:
                     raise ValueError(
                         f"support at Fock {l} violates symmetry "
                         f"(n={self.symmetry_order}, k={self.symmetry_offset})"
@@ -63,9 +63,16 @@ class TargetState:
 
     @property
     def max_index(self) -> int:
-        """Largest occupied Fock level (single-oscillator targets)."""
-        occ = np.nonzero(np.abs(self.amplitudes) > 1e-12)[0]
+        """Largest occupied Fock level (of oscillator 1 for two-oscillator
+        targets)."""
+        occ = np.nonzero(support(self.amplitudes))[0]
         return int(occ[-1]) if len(occ) else 0
+
+
+def support(amplitudes) -> np.ndarray:
+    """The occupied levels of amplitudes of any shape, as booleans: the one
+    occupancy rule that the planner counts and the compilers kill."""
+    return np.abs(np.asarray(amplitudes)) > 1e-12
 
 
 @dataclass
@@ -84,14 +91,11 @@ class SqueezingMetrics:
         return -10.0 * math.log10(self.delta_p**2)
 
 
-def infer_symmetry(amplitudes: np.ndarray, orders=(4, 2, 1)) -> tuple:
-    """Largest order n (from `orders`) under which the support is invariant,
-    together with the offset k of the occupied column."""
-    amplitudes = np.asarray(amplitudes)
-    occ = np.nonzero(np.abs(amplitudes) > 1e-12)[0]
-    if len(occ) == 0:
-        return 1, 0
-    for n in sorted(orders, reverse=True):
+def infer_symmetry(amplitudes: np.ndarray) -> tuple:
+    """Largest order n in (4, 2, 1) whose single column {l n + k} holds the
+    support, together with its offset k; (1, 0) for no support."""
+    occ = np.nonzero(support(amplitudes))[0]
+    for n in (4, 2):
         offsets = set(int(l) % n for l in occ)
         if len(offsets) == 1:
             return n, offsets.pop()
@@ -129,15 +133,13 @@ def cat_state(space: TruncatedSpace, alpha: complex, components: str = "2-even",
 GKP_SPACING = math.sqrt(2.0 * math.pi)
 
 
-def gkp_zero(space: TruncatedSpace, kappa: float, r: float, P: int,
-             envelope: str = "literal") -> TargetState:
+def gkp_zero(space: TruncatedSpace, kappa: float, r: float, P: int) -> TargetState:
     """Finite-energy grid-state logical zero: an envelope-weighted comb of
     displaced squeezed vacua, sum_{k=-P}^{P} w_k D(k sqrt(2pi)) S(r) |0>.
 
-    envelope="literal" uses w_k = exp(-pi kappa^2 (k sqrt(2pi))^2 / sqrt(2pi));
-    "gaussian-half" uses the more common exp(-kappa^2 (k sqrt(2pi))^2 / 2).
-    The literal form is the frozen default: it reproduces the reference
-    effective-squeezing values (see tests), the other does not.
+    The envelope is w_k = exp(-pi kappa^2 (k sqrt(2pi))^2 / sqrt(2pi)), the
+    form that reproduces the reference effective-squeezing values (see
+    tests).
 
     S(r) here squeezes the x quadrature (Var x -> e^{-2r}/2).
     """
@@ -149,12 +151,7 @@ def gkp_zero(space: TruncatedSpace, kappa: float, r: float, P: int,
     vec = np.zeros(d, dtype=complex)
     for k in range(-P, P + 1):
         shift = k * GKP_SPACING
-        if envelope == "literal":
-            w = math.exp(-math.pi * kappa**2 * shift**2 / GKP_SPACING)
-        elif envelope == "gaussian-half":
-            w = math.exp(-(kappa**2) * shift**2 / 2.0)
-        else:
-            raise ValueError(f"unknown envelope {envelope!r}")
+        w = math.exp(-math.pi * kappa**2 * shift**2 / GKP_SPACING)
         # comb displacement amplitude alpha = k sqrt(2pi), matching the
         # D(k sqrt(2pi)) convention the squeezing metrics are quoted in
         dmat = displacement(space, 0, shift)[:d, :d]

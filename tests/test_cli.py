@@ -91,6 +91,23 @@ def test_synthesize_quality_threshold_exits_two(tmp_path):
     assert out.exists()  # schedule still written for inspection
 
 
+def test_synthesize_missing_order_coupling_exits_one_and_writes_nothing(tmp_path, capsys):
+    # the default budget couples orders 1 and 2 only; the schedule compiles
+    # but its duration (in the JSON) needs g3
+    out = tmp_path / "x.json"
+    rc = main(["synthesize", "--target", "fock:0,3,9", "--order", "3",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: budget has no coupling for order 3\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_plan_missing_order_coupling_exits_one(capsys):
+    rc = main(["plan", "--target", "fock:0,5,9", "--order", "3"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: budget has no coupling for order 3\n"
+
+
 def test_plan_text_output(capsys):
     rc = main(["plan", "--target", "cat2:alpha=2,trunc=12", "--order", "2"])
     assert rc == 0

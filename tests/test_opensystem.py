@@ -544,6 +544,21 @@ def test_run_open_protocol_rejects_target_support_at_the_cutoff():
                           cutoff=6, target=vec)
 
 
+def test_run_open_protocol_checks_the_target_before_any_pulse(monkeypatch):
+    def evolve(*args):
+        raise AssertionError("a pulse was evolved before the target was checked")
+
+    monkeypatch.setattr(opensystem, "_evolve_pulse", evolve)
+    sched = PulseSchedule(steps=[PulseStep("drive", 0.5)], space=make_space([4]),
+                          budget=CouplingBudget())
+    with pytest.raises(ValueError, match="no support"):
+        run_open_protocol(sched, cutoff=4, target=np.zeros(4))
+    vec = np.zeros(10)
+    vec[[0, 6]] = 0.6, 0.8
+    with pytest.raises(DimensionError):
+        run_open_protocol(sched, cutoff=6, target=vec)
+
+
 def test_run_open_protocol_starts_from_schedule_initial():
     d = 6
     sched = PulseSchedule(steps=[PulseStep("drive", 0.7, 0.3)],

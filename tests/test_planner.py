@@ -21,9 +21,10 @@ from oscsynth.planner import (
     time_two_oscillator,
     two_oscillator_plan,
 )
-from oscsynth.synthesis import CouplingBudget, ftp_schedule
-from oscsynth.targets import TargetState, multimode_target
-from oscsynth.fockspace import make_space
+from oscsynth.multiosc import ftp_two_oscillator, invert_two_oscillator
+from oscsynth.synthesis import CouplingBudget, _load_target, ftp_schedule, invert_symmetric
+from oscsynth.targets import TargetState, infer_symmetry, multimode_target
+from oscsynth.fockspace import DimensionError, make_space
 from oscsynth.gates import xi
 
 PI = math.pi
@@ -180,6 +181,50 @@ def test_multi_base_steps_trivial_cases():
     amps[1, 1] = 1.0
     # |1,1> -> |1,0> on oscillator 2, then |1,0> -> |0,0> on oscillator 1
     assert multi_punch_card(TargetState(amps), (2, 2)).base_steps == 2
+
+
+@pytest.mark.parametrize("eps, counted", [(1e-11, True), (1e-13, False)])
+def test_one_occupancy_rule(eps, counted):
+    # after normalisation the small amplitude stays ~eps: just above the
+    # 1e-12 occupancy threshold, or just below it
+    vec = np.zeros(6, dtype=complex)
+    vec[0], vec[5] = 1.0, eps
+    target = TargetState(vec)
+    assert target.max_index == (5 if counted else 0)
+    assert infer_symmetry(target.amplitudes) == ((1, 0) if counted else (4, 0))
+    card = punch_card(target, 2)
+    assert card.heights == ((0, 2) if counted else (0, 0))
+    n_arb, _ = steps_arbitrary(card)
+    assert len(ftp_schedule(target, 2).steps) // 2 == (n_arb if counted else 0)
+    assert len(invert_symmetric(target, 1).steps) // 2 == (5 if counted else 0)
+    if counted:
+        with pytest.raises(ValueError):
+            TargetState(vec, 2, 0)
+        with pytest.raises(DimensionError):
+            _load_target(make_space([4]), target.amplitudes)
+    else:
+        assert TargetState(vec, 2, 0).symmetry_order == 2
+        assert abs(_load_target(make_space([4]), target.amplitudes)).max() == 1.0
+
+    grid = np.zeros((6, 6), dtype=complex)
+    grid[0, 0], grid[3, 2] = 1.0, eps
+    pair = TargetState(grid)
+    assert pair.max_index == (3 if counted else 0)
+    steps, _ = two_oscillator_plan(pair, (2, 2), CouplingBudget())
+    assert steps == multi_punch_card(pair, (2, 2)).total_steps
+    assert steps == len(ftp_two_oscillator(pair, (2, 2)).steps) // 2
+    assert (steps > 0) == counted
+    if counted:
+        with pytest.raises(ValueError, match="lattice"):
+            invert_two_oscillator(pair, (2, 2))
+    else:
+        assert len(invert_two_oscillator(pair, (2, 2)).steps) == 0
+
+
+def test_punch_card_rejects_a_two_oscillator_target():
+    target = multimode_target(make_space([8, 8]), "noon", N=5)
+    with pytest.raises(ValueError, match="single-oscillator"):
+        punch_card(target, 2)
 
 
 def test_time_two_oscillator_dense_bound():

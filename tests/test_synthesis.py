@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oscsynth.fockspace import QUBIT_G, DimensionError, make_space
 from oscsynth.gates import PulseStep
-from oscsynth.multiosc import ftp_two_oscillator
+from oscsynth.multiosc import TwoOscSchedule, ftp_two_oscillator
 from oscsynth.synthesis import (
     DEFAULT_G,
     DEFAULT_OMEGA,
@@ -237,6 +237,39 @@ def test_refine_converges_on_a_random_order2_target():
     polished = refine_schedule(sched, target, semantics="exact")
     assert 1.0 - polished.fidelity <= 1e-9
     assert replay_fidelity(polished, target, semantics="exact") == polished.fidelity
+
+
+def test_refine_labels_its_output_with_the_refined_semantics():
+    rng = np.random.default_rng(1)
+    target = TargetState(rng.normal(size=7) + 1j * rng.normal(size=7))
+    sched = ftp_schedule(target, 2)
+    assert sched.semantics == "ideal-pair"
+    polished = refine_schedule(sched, target, "exact")
+    assert polished.semantics == "exact"
+    # the default replay uses the schedule's own semantics
+    assert replay_fidelity(polished, target) == polished.fidelity
+    assert json.loads(schedule_to_json(polished))["meta"]["semantics"] == "exact"
+
+
+def test_refine_keeps_a_two_oscillator_schedule_and_its_meta():
+    amps = np.zeros((3, 3))
+    amps[0, 0], amps[1, 1], amps[2, 0] = 0.6, 0.6, np.sqrt(0.28)
+    target = TargetState(amps)
+    sched = ftp_two_oscillator(target, (1, 1))
+    sched.meta["note"] = "kept"
+    polished = refine_schedule(sched, target, "exact")
+    assert isinstance(polished, TwoOscSchedule)
+    assert polished.meta == {"note": "kept"}
+    assert polished.semantics == "exact"
+
+
+def test_replay_rejects_an_unknown_semantics_name():
+    target = TargetState([0.6, 0, 0.8], 2, 0)
+    # solved kills (unlabelled steps) and selective kills (labelled steps)
+    for sched in (invert_symmetric(target, 2, budget=CouplingBudget()),
+                  ftp_schedule(target, 2)):
+        with pytest.raises(ValueError, match="unknown semantics 'exaxt'"):
+            replay_fidelity(sched, target, semantics="exaxt")
 
 
 def test_refine_zero_step_schedule_returns_a_replayed_copy():

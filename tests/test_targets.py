@@ -79,8 +79,6 @@ def test_gkp_even_support_and_envelope_choice():
     assert t.symmetry_order == 2
     occ = np.nonzero(np.abs(t.amplitudes) > 1e-12)[0]
     assert np.all(occ % 2 == 0)
-    with pytest.raises(ValueError):
-        gkp_zero(sp, 0.3, 0.8, 2, envelope="boxcar")
 
 
 def test_effective_squeezing_of_squeezed_vacuum():
