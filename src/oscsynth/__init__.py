@@ -30,7 +30,6 @@ from .synthesis import (
     ftp_schedule,
     invert_symmetric,
     refine_schedule,
-    schedule_duration,
     schedule_from_json,
     schedule_to_json,
 )
@@ -58,7 +57,6 @@ from .planner import (
     two_oscillator_plan,
 )
 from .multiosc import (
-    TwoOscSchedule,
     annotate_frequencies,
     ftp_two_oscillator,
     invert_two_oscillator,

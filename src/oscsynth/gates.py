@@ -6,6 +6,11 @@ dispersive regime by driving at a number-dependent frequency). An *njc* step
 runs the order-n qubit-oscillator exchange sigma+ a^n + sigma- a†^n, which
 mixes each pair {|e,l>, |g,l+n>} with angle |area| * xi(l+n, n).
 
+A step's one optional label, selectivity, names the single pair it turns:
+a drive's label always applies; an njc step's applies only under
+ideal-pair semantics, the idealized selective sideband the compilers
+assume. Exact semantics turns every pair of an njc step.
+
 Pulse areas are signed dimensionless products (coupling magnitude times step
 duration). A negative area is physically a phase flip: (area, phase) and
 (-area, phase + pi) generate the same propagator.
@@ -31,6 +36,8 @@ import numpy as np
 
 from .fockspace import QUBIT_E, QUBIT_G, DimensionError, TruncatedSpace
 
+SEMANTICS = ("exact", "ideal-pair")
+
 
 def xi(a: int, b: int) -> float:
     """sqrt(a! / (a-b)!), the n-photon swap enhancement factor; 0 if a < b."""
@@ -48,13 +55,12 @@ def xi(a: int, b: int) -> float:
 class PulseStep:
     """One schedule entry: a qubit drive or an njc exchange pulse.
 
-    selectivity: tuple of Fock labels, one per oscillator, or None for a
-    plain (unconditional) drive. Only drives may be selective.
-
-    pair_level: tuple of Fock labels, one per oscillator, naming the |e>
-    side of the one pair an ideal-pair replay of this njc step rotates, or
-    None for a step that rotates every pair under either semantics. Only
-    njc steps carry one.
+    selectivity: tuple of Fock labels, one per oscillator, naming the one
+    pair the step turns, or None for a step that turns every pair. A
+    drive's label always applies: it turns {|e,l>, |g,l>} alone (a
+    number-selective drive). An njc step's label names the |e> side of
+    {|e,l>, |g,l+n>} and applies only under ideal-pair semantics (an
+    idealized selective sideband); exact semantics turns every pair.
     """
 
     kind: str  # "drive" | "njc"
@@ -62,17 +68,17 @@ class PulseStep:
     phase: float = 0.0
     osc_index: Optional[int] = None  # njc only
     order: Optional[int] = None  # njc only
-    selectivity: Optional[tuple] = None  # drive only
-    pair_level: Optional[tuple] = None  # njc only
+    selectivity: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in ("drive", "njc"):
-            raise ValueError(f"unknown step kind {self.kind!r}")
         if self.kind == "njc":
-            if self.selectivity is not None:
-                raise ValueError("njc steps cannot be selective")
             if self.order is None or self.osc_index is None:
                 raise ValueError("njc steps need an order and oscillator index")
+        elif self.kind == "drive":
+            if self.order is not None or self.osc_index is not None:
+                raise ValueError("drive steps take no order or oscillator index")
+        else:
+            raise ValueError(f"unknown step kind {self.kind!r}")
         if not math.isfinite(self.area):
             raise ValueError("pulse area must be finite")
         # canonicalize the stored phase into (-pi, pi]
@@ -82,10 +88,6 @@ class PulseStep:
         object.__setattr__(self, "phase", ph)
         if self.selectivity is not None:
             object.__setattr__(self, "selectivity", tuple(int(l) for l in self.selectivity))
-        if self.pair_level is not None:
-            if self.kind != "njc":
-                raise ValueError("only njc steps carry a pair_level")
-            object.__setattr__(self, "pair_level", tuple(int(l) for l in self.pair_level))
 
 
 def _canonical(area: float, phase: float):
@@ -149,24 +151,16 @@ def _write_qubit_block(mat, u2, osc_flat, osc_dim):
     mat[g, g] = u2[1, 1]
 
 
-def njc_propagator(
-    space: TruncatedSpace,
-    osc_index: int,
-    n: int,
-    area: float,
-    phase: float = 0.0,
-    semantics: str = "exact",
-    pair_level: Optional[int] = None,
-) -> np.ndarray:
+def njc_propagator(space: TruncatedSpace, osc_index: int, n: int, area: float,
+                   phase: float = 0.0, selectivity=None) -> np.ndarray:
     """Order-n exchange propagator exp(-i tau (g sigma+ a^n + h.c.)).
 
-    "exact" semantics rotates every invariant pair {|e,l>, |g,l+n>} by angle
-    |area| * xi(l+n, n); the unpaired states |g,m> (m < n) and |e,l> with
-    l+n >= cutoff stay put, so the matrix is exactly unitary at any cutoff.
-
-    "ideal-pair" rotates only the single pair at pair_level l (an idealized
-    selective sideband used by the fine-tune-then-populate compiler) and is
-    the identity elsewhere.
+    With selectivity None it rotates every invariant pair {|e,l>, |g,l+n>}
+    by angle |area| * xi(l+n, n); the unpaired states |g,m> (m < n) and
+    |e,l> with l+n >= cutoff stay put, so the matrix is exactly unitary at
+    any cutoff. With a joint Fock label (one entry per oscillator) it
+    rotates only the pair whose |e> side sits at that label (an idealized
+    selective sideband) and is the identity elsewhere.
     """
     d = space.osc_cutoffs[osc_index]
     if not 1 <= n < d:
@@ -185,31 +179,18 @@ def njc_propagator(
         out[e_i, g_i] = -1j * np.exp(1j * ph) * s
         out[g_i, e_i] = -1j * np.exp(-1j * ph) * s
 
-    if semantics == "exact":
+    if selectivity is None:
         for l in range(d - n):
             for other in _other_osc_indices(space, osc_index):
                 write_pair(l, other)
-    elif semantics == "ideal-pair":
-        if pair_level is None:
-            raise ValueError("ideal-pair semantics needs pair_level")
-        if isinstance(pair_level, (tuple, list)):
-            # joint label: only the pair at this exact multi-oscillator label
-            labels = tuple(int(l) for l in pair_level)
-            if len(labels) != space.n_osc:
-                raise DimensionError("joint pair label needs one entry per oscillator")
-            l = labels[osc_index]
-            other = tuple(x for i, x in enumerate(labels) if i != osc_index)
-            if l + n >= d:
-                raise DimensionError(f"pair level {l}+{n} exceeds cutoff {d}")
-            write_pair(l, other)
-        else:
-            l = int(pair_level)
-            if l + n >= d:
-                raise DimensionError(f"pair level {l}+{n} exceeds cutoff {d}")
-            for other in _other_osc_indices(space, osc_index):
-                write_pair(l, other)
-    else:
-        raise ValueError(f"unknown njc semantics {semantics!r}")
+        return out
+    labels = tuple(int(l) for l in selectivity)
+    if len(labels) != space.n_osc:
+        raise DimensionError("joint pair label needs one entry per oscillator")
+    l = labels[osc_index]
+    if l + n >= d:
+        raise DimensionError(f"pair level {l}+{n} exceeds cutoff {d}")
+    write_pair(l, labels[:osc_index] + labels[osc_index + 1:])
     return out
 
 
@@ -235,17 +216,14 @@ def _joint_index(space, qubit_level, osc_index, level, other_labels):
 def step_propagator(space: TruncatedSpace, step: PulseStep,
                     semantics: str = "exact") -> np.ndarray:
     """Dense propagator of one step: the reference the pair-rotation kernel
-    is checked against."""
+    is checked against. A drive's label always applies; an njc label only
+    under ideal-pair semantics."""
+    if semantics not in SEMANTICS:
+        raise ValueError(f"unknown semantics {semantics!r}")
     if step.kind == "drive":
         return selective_drive_propagator(space, step.area, step.phase, step.selectivity)
-    if semantics == "exact" or step.pair_level is None:
-        # steps without a pair annotation (base-state ladder pulses) always
-        # use the exact block propagator; only annotated climbing steps can
-        # be idealized
-        return njc_propagator(space, step.osc_index, step.order, step.area, step.phase,
-                              semantics="exact")
-    return njc_propagator(space, step.osc_index, step.order, step.area, step.phase,
-                          semantics="ideal-pair", pair_level=step.pair_level)
+    label = step.selectivity if semantics == "ideal-pair" else None
+    return njc_propagator(space, step.osc_index, step.order, step.area, step.phase, label)
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +261,22 @@ def pair_table(space: TruncatedSpace, osc_index: int, n: int) -> PairTable:
 
 def step_pairs(space: TruncatedSpace, step: PulseStep, semantics: str = "exact"):
     """(eg, weights): the pairs one step rotates, with step_propagator's
-    semantics. A drive rotates every {|e,o>, |g,o>} at weight 1, or only the
-    one at its selectivity label; an njc step rotates every order-n pair
-    under exact semantics, and under ideal-pair semantics only the one at
-    its pair_level. A labelled step's single pair comes from space.index."""
-    if semantics not in ("exact", "ideal-pair"):
+    semantics. A drive rotates every {|e,o>, |g,o>} at weight 1; an njc
+    step every order-n pair. A step's selectivity label picks out the one
+    pair at that label instead: a drive's always, an njc step's only under
+    ideal-pair semantics. A labelled step's single pair comes from
+    space.index."""
+    if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
+    label = step.selectivity
     if step.kind == "drive":
-        osc, n, label = 0, 0, step.selectivity
+        osc, n = 0, 0
     else:
         if step.order < 1:
             raise DimensionError(f"njc order {step.order} must be >= 1")
         osc, n = step.osc_index, step.order
-        label = None if semantics == "exact" else step.pair_level
+        if semantics == "exact":
+            label = None
     if label is None:
         table = pair_table(space, osc, n)
         return table.eg, table.weights
@@ -508,7 +489,7 @@ def conditional_squeezing_via_sidebands(space: TruncatedSpace, n: int, area: flo
     pulses. The identity is exact only in the small-area limit; callers
     wanting equality to a tolerance should keep |area| modest.
     """
-    q = njc_propagator(space, 0, n, area, 0.0, semantics="exact")
+    q = njc_propagator(space, 0, n, area, 0.0)
     h = _hadamard(space)
     rx = _rx_pi(space)
     return h @ rx @ q @ rx @ q @ h

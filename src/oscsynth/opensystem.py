@@ -364,15 +364,17 @@ def run_open_protocol(schedule, params: CircuitParams = None,
     """Replay a compiled schedule on the open circuit model.
 
     The replay starts from schedule.initial. Drive steps evolve under the
-    bare qubit drive alone; order-2 exchange steps evolve under the full
+    bare qubit drive alone, so a number-selective drive raises ValueError
+    naming its label; order-2 exchange steps evolve under the full
     interaction-picture circuit Hamiltonian, with negative areas folded
-    into a pi coupling phase. Each pulse is one constant lab-frame
-    Lindbladian, evolved in split steps by _evolve_pulse to rtol and
-    atol. Returns (rho, fidelity) where fidelity is
-    sqrt(<target| rho |target>) against the supplied target vector
-    (oscillator amplitudes, qubit in ground), or None when no target is
-    given. Zero padding past the cutoff is accepted; target support at or
-    past the cutoff raises DimensionError.
+    into a pi coupling phase. The circuit model is exact-semantics
+    physics: an exchange step turns every pair, and its selectivity label
+    is ignored. Each pulse is one constant lab-frame Lindbladian, evolved
+    in split steps by _evolve_pulse to rtol and atol. Returns (rho,
+    fidelity) where fidelity is sqrt(<target| rho |target>) against the
+    supplied target vector (oscillator amplitudes, qubit in ground), or
+    None when no target is given. Zero padding past the cutoff is
+    accepted; target support at or past the cutoff raises DimensionError.
     """
     params = params or CircuitParams()
     rates = rates or NoiseRates()
@@ -383,6 +385,10 @@ def run_open_protocol(schedule, params: CircuitParams = None,
     qubit0, level0 = schedule.initial
     if not 0 <= level0 < cutoff:
         raise ValueError(f"initial Fock level {level0} is outside cutoff {cutoff}")
+    for step in schedule.steps:
+        if step.kind == "drive" and step.selectivity is not None:
+            raise ValueError("open-system replay has no number-selective drives; "
+                             f"a drive selects Fock label {step.selectivity}")
     # a target that cannot load fails before any pulse is evolved
     tvec = None
     if target is not None:

@@ -80,20 +80,14 @@ class PulseSchedule:
 
     @property
     def duration(self) -> Optional[float]:
+        """Total wall time, each step lasting |area| / its coupling
+        magnitude; None without a budget."""
         if self.budget is None:
             return None
-        return schedule_duration(self, self.budget)
+        return sum(abs(s.area) / self.budget.coupling_for(s) for s in self.steps)
 
     def __len__(self):
         return len(self.steps)
-
-
-def schedule_duration(schedule: PulseSchedule, budget: CouplingBudget = None) -> float:
-    """Total wall time: each step lasts |area| / coupling magnitude."""
-    budget = budget or schedule.budget
-    if budget is None:
-        raise ValueError("no coupling budget attached")
-    return sum(abs(s.area) / budget.coupling_for(s) for s in schedule.steps)
 
 
 def apply_schedule(schedule: PulseSchedule, initial: np.ndarray,
@@ -207,25 +201,26 @@ def _kill(space: TruncatedSpace, state: np.ndarray, osc_index: int, src: tuple,
 
     A solved kill takes the principal-branch exchange angle on every
     order-n pair and a plain drive; a selective kill takes a full swap of
-    the one pair at src and a drive selective on src.
+    the one pair at src and a drive selective on src, both labelled src.
     """
     top = src[:osc_index] + (src[osc_index] + n,) + src[osc_index + 1:]
     g_top = space.index(QUBIT_G, *top)
     e_src = space.index(QUBIT_E, *src)
     g_src = space.index(QUBIT_G, *src)
+    label = src if selective else None
     if selective:
         # a full swap clears the whole top amplitude (nothing is parked in |e>)
-        swap = PulseStep("njc", (math.pi / 2.0) / xi(top[osc_index], n), 0.0,
-                         osc_index=osc_index, order=n, pair_level=src)
+        theta, phase = math.pi / 2.0, 0.0
     else:
         theta, chi = _solve_kill_angle(state[g_top], state[e_src])
-        swap = PulseStep("njc", theta / xi(top[osc_index], n), -chi,
-                         osc_index=osc_index, order=n)
+        phase = -chi
+    swap = PulseStep("njc", theta / xi(top[osc_index], n), phase, osc_index=osc_index,
+                     order=n, selectivity=label)
     gates.rotate(state, *gates.step_pairs(space, swap, "ideal-pair"), -swap.area, swap.phase)
     if abs(state[g_top]) > 1e-10:
         raise RuntimeError(f"failed to clear |{_ket(QUBIT_G, top)}> during inversion")
     y, chi = _solve_kill_angle(state[e_src], state[g_src])
-    drive = PulseStep("drive", y, chi, selectivity=src if selective else None)
+    drive = PulseStep("drive", y, chi, selectivity=label)
     gates.rotate(state, *gates.step_pairs(space, drive), -drive.area, drive.phase)
     if abs(state[e_src]) > 1e-10:
         raise RuntimeError(f"failed to clear |{_ket(QUBIT_E, src)}> during inversion")
@@ -233,7 +228,7 @@ def _kill(space: TruncatedSpace, state: np.ndarray, osc_index: int, src: tuple,
 
 
 def _compiled(space: TruncatedSpace, plan: list, initial: tuple, target: TargetState,
-              schedule_type: type = PulseSchedule, **fields) -> PulseSchedule:
+              **fields) -> PulseSchedule:
     """Run the kills of plan on the target, check that the inverted state
     sits at initial, and return the schedule replaying the kills forward
     from there, with its fidelity."""
@@ -243,7 +238,7 @@ def _compiled(space: TruncatedSpace, plan: list, initial: tuple, target: TargetS
     if residual < 1.0 - 1e-9:
         raise RuntimeError("inversion residual too large: "
                            f"|<{_ket(initial[0], initial[1:])}|state>| = {residual}")
-    schedule = schedule_type(steps=steps[::-1], space=space, initial=initial, **fields)
+    schedule = PulseSchedule(steps=steps[::-1], space=space, initial=initial, **fields)
     schedule.fidelity = replay_fidelity(schedule, target)
     return schedule
 
@@ -333,7 +328,7 @@ def refine_schedule(schedule: PulseSchedule, target: TargetState,
 
 
 def replace_schedule(schedule: PulseSchedule, **kw) -> PulseSchedule:
-    """A copy of schedule, of its own type, with the fields in kw replaced."""
+    """A copy of schedule with the fields in kw replaced."""
     return replace(schedule, **kw)
 
 
@@ -367,9 +362,8 @@ def schedule_to_json(schedule: PulseSchedule) -> str:
         osc = "null" if s.osc_index is None else str(s.osc_index)
         order = "null" if s.order is None else str(s.order)
         sel = "null"
-        sel_src = s.selectivity if s.selectivity is not None else s.pair_level
-        if sel_src is not None:
-            sel = "[[" + ", ".join(str(i) for i in sel_src) + "]]"
+        if s.selectivity is not None:
+            sel = "[[" + ", ".join(str(i) for i in s.selectivity) + "]]"
         step_lines.append(
             f'    {{"kind": "{s.kind}", "osc": {osc}, "order": {order}, '
             f'"area": {_fmt_float(s.area)}, "phase": {_fmt_float(s.phase)}, "select": {sel}}}'
@@ -402,15 +396,10 @@ def schedule_from_json(text: str) -> PulseSchedule:
             omega=data["budget"]["omega_radps"],
             g={int(k): v for k, v in data["budget"]["g_radps"].items()},
         )
-    steps = []
-    for sd in data["steps"]:
-        sel = sd.get("select")
-        if sd["kind"] == "drive":
-            steps.append(PulseStep("drive", sd["area"], sd["phase"],
-                                   selectivity=tuple(sel[0]) if sel else None))
-        else:
-            steps.append(PulseStep("njc", sd["area"], sd["phase"], osc_index=sd["osc"],
-                                   order=sd["order"], pair_level=tuple(sel[0]) if sel else None))
+    steps = [PulseStep(sd["kind"], sd["area"], sd["phase"], osc_index=sd.get("osc"),
+                       order=sd.get("order"),
+                       selectivity=tuple(sd["select"][0]) if sd.get("select") else None)
+             for sd in data["steps"]]
     meta = data.get("meta", {})
     sched = PulseSchedule(steps=steps, space=space, budget=budget,
                           target_label=meta.get("target", ""),

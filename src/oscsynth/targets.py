@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .fockspace import (
     coherent_vector,
     displacement,
     make_space,
-    normalize,
     squeezing,
 )
 

@@ -336,9 +336,7 @@ def test_criterion_7_property_suite():
         for u in (
             selective_drive_propagator(space, area, phase),
             njc_propagator(space, 0, order, area, phase),
-            njc_propagator(space, 0, order, area, phase,
-                           semantics="ideal-pair",
-                           pair_level=int(rng.integers(0, 6))),
+            njc_propagator(space, 0, order, area, phase, (int(rng.integers(0, 6)),)),
         ):
             assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-10
 

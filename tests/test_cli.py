@@ -134,6 +134,18 @@ def test_plan_two_osc(capsys):
     assert "steps: 8" in text
 
 
+@pytest.mark.parametrize("command", ["synthesize", "plan"])
+def test_two_osc_rejects_three_orders(command, tmp_path, capsys):
+    argv = [command, "--target", "noon:N=2", "--order", "2,2,2", "--two-osc",
+            "--cutoff", "8"]
+    if command == "synthesize":
+        argv += ["--out", str(tmp_path / "s.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: orders (2, 2, 2) do not fit a 2-oscillator support\n")
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_estimate_symmetric_matches_library(capsys):
     rc = main(["estimate", "--mode", "symmetric", "--K", "10", "--n", "2",
                "--omega", "25e6*2pi", "--g", "25e6*2pi"])
@@ -199,6 +211,20 @@ def test_open_sim_drive_only_schedule(tmp_path, capsys):
     assert lines[0] == "row,col,re,im"
     manifest = json.loads((tmp_path / "rho.csv.manifest.json").read_text())
     assert str(sched_path) in manifest["input_digests"]
+
+
+def test_open_sim_rejects_number_selective_drives(tmp_path, capsys):
+    # ftp schedules climb with number-selective drives, which the circuit
+    # model cannot replay
+    sched_path = tmp_path / "s.json"
+    assert main(["synthesize", "--target", "fock:0,2,4,6", "--order", "2", "--ftp",
+                 "--cutoff", "12", "--out", str(sched_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "rho.csv"
+    assert main(["open-sim", "--schedule", str(sched_path), "--target", "fock:0,2,4,6",
+                 "--cutoff", "12", "--out", str(out)]) == 1
+    assert "number-selective" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_open_sim_wigner_replays_once(tmp_path, monkeypatch):

@@ -68,7 +68,7 @@ def test_drive_unitary(area, phase):
 def test_njc_pair_mixing_angle():
     sp = make_space([20])
     n, area, phase, l = 2, 0.07, 0.4, 3
-    u = njc_propagator(sp, 0, n, area, phase, semantics="exact")
+    u = njc_propagator(sp, 0, n, area, phase)
     theta = area * xi(l + n, n)
     ie = sp.index(QUBIT_E, l)
     ig = sp.index(QUBIT_G, l + n)
@@ -90,13 +90,13 @@ def test_njc_pair_mixing_angle():
 )
 def test_njc_unitary(n, area, phase):
     sp = make_space([12])
-    u = njc_propagator(sp, 0, n, area, phase, semantics="exact")
+    u = njc_propagator(sp, 0, n, area, phase)
     assert np.allclose(u @ u.conj().T, np.eye(sp.dim), atol=1e-12)
 
 
 def test_njc_ideal_pair_acts_on_one_pair_only():
     sp = make_space([12])
-    u = njc_propagator(sp, 0, 2, 0.3, 0.0, semantics="ideal-pair", pair_level=1)
+    u = njc_propagator(sp, 0, 2, 0.3, 0.0, (1,))
     # the {|e,1>, |g,3>} pair mixes, everything else is identity
     touched = {sp.index(QUBIT_E, 1), sp.index(QUBIT_G, 3)}
     for i in range(sp.dim):
@@ -143,15 +143,14 @@ def test_pulse_step_validation():
     with pytest.raises(ValueError):
         PulseStep(kind="njc", area=0.1)  # missing order/osc_index
     with pytest.raises(ValueError):
-        PulseStep(kind="njc", area=0.1, osc_index=0, order=2, selectivity=(1,))
-    with pytest.raises(ValueError):
         PulseStep(kind="drive", area=float("nan"))
     s = PulseStep(kind="drive", area=0.1, phase=3 * math.pi)
     assert s.phase == pytest.approx(math.pi)
-    with pytest.raises(ValueError):
-        PulseStep(kind="drive", area=0.1, pair_level=(1,))
-    s = PulseStep(kind="njc", area=0.1, osc_index=0, order=2, pair_level=[np.int64(3)])
-    assert s.pair_level == (3,) and type(s.pair_level[0]) is int
+    s = PulseStep(kind="njc", area=0.1, osc_index=0, order=2, selectivity=[np.int64(3)])
+    assert s.selectivity == (3,) and type(s.selectivity[0]) is int
+    for extra in (dict(osc_index=0), dict(order=2)):
+        with pytest.raises(ValueError, match="drive steps take no order or oscillator index"):
+            PulseStep(kind="drive", area=0.1, **extra)
 
 
 def test_step_propagator_matches_primitives():
@@ -161,7 +160,14 @@ def test_step_propagator_matches_primitives():
                        selective_drive_propagator(sp, 0.4, 0.3, selectivity=(2,)))
     s2 = PulseStep(kind="njc", area=0.2, phase=0.1, osc_index=0, order=2)
     assert np.allclose(step_propagator(sp, s2),
-                       njc_propagator(sp, 0, 2, 0.2, 0.1, semantics="exact"))
+                       njc_propagator(sp, 0, 2, 0.2, 0.1))
+    # a drive's label always applies, an njc label only under ideal-pair semantics
+    s3 = PulseStep(kind="njc", area=0.2, phase=0.1, osc_index=0, order=2, selectivity=(1,))
+    for semantics, label in (("exact", None), ("ideal-pair", (1,))):
+        assert np.array_equal(step_propagator(sp, s1, semantics),
+                              selective_drive_propagator(sp, 0.4, 0.3, selectivity=(2,)))
+        assert np.array_equal(step_propagator(sp, s3, semantics),
+                              njc_propagator(sp, 0, 2, 0.2, 0.1, label))
 
 
 KERNEL_SPACES = [(4,), (9,), (40,), (8, 8), (5, 7)]
@@ -187,8 +193,8 @@ def _kernel_cases(sp, rng):
                 step = PulseStep("njc", area, phase, osc_index=osc, order=n)
                 joint = sel[:osc] + (int(rng.integers(0, d - n)),) + sel[osc + 1:]
                 cases.append((step, "exact"))
-                cases.append((replace(step, pair_level=joint), "ideal-pair"))
-                cases.append((replace(step, pair_level=joint), "exact"))
+                cases.append((replace(step, selectivity=joint), "ideal-pair"))
+                cases.append((replace(step, selectivity=joint), "exact"))
     return cases
 
 
@@ -283,21 +289,35 @@ def test_value_and_grad_is_zero_at_zero_overlap():
     (PulseStep("njc", 0.1, osc_index=0, order=6), None),  # order at the cutoff
     (PulseStep("njc", 0.1, osc_index=0, order=2), 4),  # pair above the cutoff
     (PulseStep("njc", 0.1, osc_index=0, order=2), -1),
-    (PulseStep("njc", 0.1, osc_index=1, order=2, pair_level=(1, 5)), None),
-    (PulseStep("njc", 0.1, osc_index=1, order=2, pair_level=(1,)), None),
+    (PulseStep("njc", 0.1, osc_index=1, order=2, selectivity=(1, 5)), None),
+    (PulseStep("njc", 0.1, osc_index=1, order=2, selectivity=(1,)), None),
     (PulseStep("drive", 0.1, selectivity=(1, 9)), None),
     (PulseStep("drive", 0.1, selectivity=(1,)), None),
 ])
 def test_kernel_rejects_what_the_oracle_rejects(step, level):
     # level, when given, is the one-oscillator step's joint pair level (level,)
     if level is not None:
-        step = replace(step, pair_level=(level,))
+        step = replace(step, selectivity=(level,))
     sp = make_space([6, 7]) if step.osc_index == 1 or step.kind == "drive" else make_space([6])
     psi = np.ones(sp.dim, dtype=complex)
     with pytest.raises(DimensionError):
         step_propagator(sp, step, semantics="ideal-pair")
     with pytest.raises(DimensionError):
         apply_step(sp, step, psi, "ideal-pair")
+
+
+@pytest.mark.parametrize("step", [
+    PulseStep("drive", 0.1),
+    PulseStep("drive", 0.1, selectivity=(1,)),
+    PulseStep("njc", 0.1, osc_index=0, order=2),
+    PulseStep("njc", 0.1, osc_index=0, order=2, selectivity=(1,)),
+], ids=["drive", "selective drive", "njc", "labelled njc"])
+def test_oracle_and_kernel_reject_an_unknown_semantics_name(step):
+    sp = make_space([6])
+    with pytest.raises(ValueError, match="unknown semantics 'exaxt'"):
+        step_propagator(sp, step, "exaxt")
+    with pytest.raises(ValueError, match="unknown semantics 'exaxt'"):
+        apply_step(sp, step, np.ones(sp.dim, dtype=complex), "exaxt")
 
 
 def test_stirling_first_row_four():

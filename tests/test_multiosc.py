@@ -1,5 +1,6 @@
 """Tests for the two-oscillator compiler and its staging invariants."""
 
+import copy
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from oscsynth.fockspace import QUBIT_G, make_space
 from oscsynth.gates import DispersiveModel, selective_drive_frequency
 from oscsynth.multiosc import (
-    TwoOscSchedule,
     annotate_frequencies,
     ftp_two_oscillator,
     intermediate_states,
@@ -160,15 +160,13 @@ def test_single_oscillator_is_the_one_oscillator_case(n):
     vec = rng.normal(size=3 * n + 2) + 1j * rng.normal(size=3 * n + 2)
     one = ftp_schedule(TargetState(vec), n)
     two = ftp_two_oscillator(TargetState(np.stack([vec, 0 * vec], axis=1)), (n, 1))
-    climb = [s for s in one.steps if (s.selectivity or s.pair_level) is not None]
+    climb = [s for s in one.steps if s.selectivity is not None]
     assert climb and one.steps[-len(climb):] == climb
     assert len(two.steps) >= len(climb)
     for got, want in zip(two.steps[-len(climb):], climb):
         assert (got.kind, got.osc_index, got.order) == (want.kind, want.osc_index, want.order)
         assert abs(got.area - want.area) < 1e-12 and abs(got.phase - want.phase) < 1e-12
-        for label, one_label in ((got.selectivity, want.selectivity),
-                                 (got.pair_level, want.pair_level)):
-            assert label == (None if one_label is None else one_label + (0,))
+        assert got.selectivity == want.selectivity + (0,)
 
 
 def test_intermediate_states_stay_normalized():
@@ -197,8 +195,7 @@ def test_annotate_frequencies():
                          g=TWO_PI * 30e6)
     m2 = DispersiveModel(order=1, omega_q=TWO_PI * 10e9, omega_o=TWO_PI * 4.8e9,
                          g=TWO_PI * 30e6)
-    out = annotate_frequencies(sched, (m1, m2))
-    freqs = out.meta["drive_freqs_radps"]
+    freqs = annotate_frequencies(sched, (m1, m2))
     assert len(freqs) == len(sched.steps)
     for step, f in zip(sched.steps, freqs):
         if step.kind != "drive":
@@ -209,3 +206,14 @@ def test_annotate_frequencies():
             assert f == pytest.approx(selective_drive_frequency([m1, m2], step.selectivity))
     with pytest.raises(ValueError):
         annotate_frequencies(sched, (m1,))
+
+
+def test_annotate_frequencies_leaves_the_schedule_unchanged():
+    target = multimode_target(make_space([8, 8]), "dense", L1=1, L2=1)
+    sched = ftp_two_oscillator(target, (1, 1), budget=CouplingBudget())
+    before = copy.deepcopy(sched)
+    model = DispersiveModel(order=1, omega_q=TWO_PI * 10e9, omega_o=TWO_PI * 5e9,
+                            g=TWO_PI * 30e6)
+    annotate_frequencies(sched, (model, model))
+    assert sched == before
+    assert vars(sched).keys() == vars(before).keys()

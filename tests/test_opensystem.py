@@ -1,6 +1,7 @@
 """Tests for the interaction-picture circuit model and Lindblad replay."""
 
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -22,8 +23,8 @@ from oscsynth.opensystem import (
     load_rates,
     run_open_protocol,
 )
-from oscsynth.synthesis import CouplingBudget, PulseSchedule, apply_schedule
-from oscsynth.targets import cat_state
+from oscsynth.synthesis import CouplingBudget, PulseSchedule, apply_schedule, ftp_schedule
+from oscsynth.targets import TargetState, cat_state
 
 TWO_PI = 2 * math.pi
 
@@ -275,7 +276,7 @@ def test_exchange_only_model_approximates_ideal_swap():
     p_g2 = rho[d + 2, d + 2].real
     assert p_g2 > 0.999
     sp = make_space([d])
-    u = njc_propagator(sp, 0, 2, area, 0.0, semantics="exact")
+    u = njc_propagator(sp, 0, 2, area, 0.0)
     ideal = u @ sp.basis_state(QUBIT_E, 0)
     assert abs(ideal[sp.index(QUBIT_G, 2)]) == pytest.approx(1.0, abs=1e-12)
 
@@ -570,6 +571,24 @@ def test_run_open_protocol_starts_from_schedule_initial():
     assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-7
     with pytest.raises(ValueError, match="cutoff"):
         run_open_protocol(sched, CircuitParams(), NoiseRates(), cutoff=1)
+
+
+def test_run_open_protocol_rejects_number_selective_drives(monkeypatch):
+    # the circuit model drives the qubit alone: a selective drive would be
+    # replayed as a plain one, so it fails before any pulse is evolved
+    target = TargetState([0.5, 0, 0.5, 0, 0.5, 0, 0.5])
+    sched = ftp_schedule(target, 2, budget=CouplingBudget())
+    first = next(s.selectivity for s in sched.steps if s.kind == "drive")
+    monkeypatch.setattr(opensystem, "_evolve_pulse", None)
+    with pytest.raises(ValueError, match="number-selective") as err:
+        run_open_protocol(sched, cutoff=12, target=target)
+    assert str(first) in str(err.value)
+    # an exchange step's label is ideal-pair bookkeeping: exact physics ignores it
+    monkeypatch.undo()
+    labelled = [s for s in sched.steps if s.kind == "njc"][:1]
+    plain = [replace(labelled[0], selectivity=None)]
+    rho, _ = run_open_protocol(replace(sched, steps=labelled), cutoff=12)
+    assert np.array_equal(rho, run_open_protocol(replace(sched, steps=plain), cutoff=12)[0])
 
 
 def test_run_open_protocol_rejects_unsupported_orders():

@@ -1,5 +1,6 @@
 """Tests for schedule compilation, replay, refinement, and serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from oscsynth.fockspace import QUBIT_G, DimensionError, make_space
 from oscsynth.gates import PulseStep
-from oscsynth.multiosc import TwoOscSchedule, ftp_two_oscillator
+from oscsynth.multiosc import ftp_two_oscillator
 from oscsynth.synthesis import (
     DEFAULT_G,
     DEFAULT_OMEGA,
@@ -223,7 +224,7 @@ def test_refine_reports_the_fidelity_of_a_fresh_replay():
     assert polished.fidelity > replay_fidelity(sched, target, semantics="exact")
     assert abs(replay_fidelity(polished, target, semantics="exact")
                - polished.fidelity) < 1e-12
-    assert [s.pair_level for s in polished.steps] == [s.pair_level for s in sched.steps]
+    assert [s.selectivity for s in polished.steps] == [s.selectivity for s in sched.steps]
 
 
 def test_refine_converges_on_a_random_order2_target():
@@ -256,10 +257,9 @@ def test_refine_keeps_a_two_oscillator_schedule_and_its_meta():
     amps[0, 0], amps[1, 1], amps[2, 0] = 0.6, 0.6, np.sqrt(0.28)
     target = TargetState(amps)
     sched = ftp_two_oscillator(target, (1, 1))
-    sched.meta["note"] = "kept"
     polished = refine_schedule(sched, target, "exact")
-    assert isinstance(polished, TwoOscSchedule)
-    assert polished.meta == {"note": "kept"}
+    assert type(polished) is PulseSchedule
+    assert [s.selectivity for s in polished.steps] == [s.selectivity for s in sched.steps]
     assert polished.semantics == "exact"
 
 
@@ -360,7 +360,7 @@ def test_json_reads_version_1_files():
     assert sched.initial == (QUBIT_G, 0)
     assert sched.steps == [
         PulseStep("drive", 0.3, 0.0, selectivity=(1,)),
-        PulseStep("njc", 0.5, 0.1, osc_index=0, order=2, pair_level=(1,)),
+        PulseStep("njc", 0.5, 0.1, osc_index=0, order=2, selectivity=(1,)),
     ]
     assert sched.semantics == "ideal-pair" and sched.budget is None
     assert '"version": 2' in schedule_to_json(sched)
@@ -372,6 +372,66 @@ def test_json_reads_version_1_files():
     data.update(version=2, initial=[QUBIT_G, 6])
     with pytest.raises(DimensionError):
         schedule_from_json(json.dumps(data))
+    # a drive has no oscillator index or order to drop
+    data["initial"] = [QUBIT_G, 0]
+    data["steps"][0]["osc"] = 0
+    with pytest.raises(ValueError, match="drive steps take no order or oscillator index"):
+        schedule_from_json(json.dumps(data))
+
+
+#: every PulseStep field and the key of a "steps" entry that stores it
+STEP_KEYS = {"kind": "kind", "area": "area", "phase": "phase", "osc_index": "osc",
+             "order": "order", "selectivity": "select"}
+#: every PulseSchedule field and the JSON path that stores it
+SCHEDULE_KEYS = {"steps": ("steps",), "space": ("space",), "budget": ("budget",),
+                 "target_label": ("meta", "target"), "fidelity": ("meta", "fidelity"),
+                 "semantics": ("meta", "semantics"), "initial": ("initial",)}
+
+
+def test_every_schedule_field_is_written_to_json():
+    assert {f.name for f in dataclasses.fields(PulseStep)} == set(STEP_KEYS)
+    assert {f.name for f in dataclasses.fields(PulseSchedule)} == set(SCHEDULE_KEYS)
+    target = TargetState(np.array([0.6, 0, 0.48j, 0.64]))
+    data = json.loads(schedule_to_json(ftp_schedule(target, 2, budget=CouplingBudget())))
+    for entry in data["steps"]:
+        assert set(entry) == set(STEP_KEYS.values())
+    # the file holds these fields, the version and the derived duration, nothing else
+    assert set(data) == {"version"} | {path[0] for path in SCHEDULE_KEYS.values()}
+    assert set(data["meta"]) == {"duration_s"} | {
+        path[1] for path in SCHEDULE_KEYS.values() if path[0] == "meta"}
+
+
+def _equal_to_12_digits(a, b) -> bool:
+    """a == b field by field, with floats compared at the 12 significant
+    digits the JSON keeps."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _equal_to_12_digits(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, float):
+        return float(f"{a:.12g}") == float(f"{b:.12g}")
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_equal_to_12_digits(x, y) for x, y in zip(a, b)))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_equal_to_12_digits(a[k], b[k]) for k in a)
+    return a == b
+
+
+def test_json_round_trip_keeps_type_and_every_field():
+    rng = np.random.default_rng(12)
+    budget = CouplingBudget()
+    amps = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    schedules = [
+        invert_symmetric(TargetState([0, 0.6, 0, 0.8j], 2, 1), 2, budget=budget),
+        ftp_schedule(TargetState(rng.normal(size=7) + 1j * rng.normal(size=7)), 2,
+                     budget=budget),
+        ftp_two_oscillator(TargetState(amps), (1, 2), budget=budget),
+    ]
+    for sched in schedules:
+        back = schedule_from_json(schedule_to_json(sched))
+        assert type(back) is type(sched)
+        assert _equal_to_12_digits(sched, back)
 
 
 def test_apply_schedule_pi_pulse():
