@@ -103,6 +103,24 @@ def _usage_error(exc: Exception) -> int:
     return EXIT_USAGE
 
 
+def _parse_order(text: str, two_osc: bool):
+    """--order as one interaction order, or with --two-osc as (n1, n2),
+    where a single value serves both oscillators. A ValueError names the
+    order for anything else and for an order below 1."""
+    try:
+        orders = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--order {text!r}: expected "
+                         + ("n or n1,n2" if two_osc else "an integer n")) from None
+    if len(orders) > 1 and not two_osc:
+        raise ValueError(f"--order {text!r}: two orders need --two-osc")
+    if min(orders) < 1:
+        raise ValueError(f"--order {text!r}: interaction orders must be >= 1")
+    if not two_osc:
+        return orders[0]
+    return orders * 2 if len(orders) == 1 else orders
+
+
 def _angular(text: str) -> float:
     """Parse an angular frequency argument: `<hz>*2pi` or `<radps>radps`."""
     text = text.strip().lower()
@@ -123,17 +141,14 @@ def cmd_synthesize(args) -> int:
     inputs = [args.budget] if args.budget else []
     budget = parse_budget_file(args.budget) if args.budget else CouplingBudget()
     try:
+        order = _parse_order(args.order, args.two_osc)
         if args.two_osc:
             space = make_space((args.cutoff, args.cutoff))
             target = parse_target(args.target, space=space)
-            orders = tuple(int(x) for x in args.order.split(","))
-            if len(orders) == 1:
-                orders = (orders[0], orders[0])
-            schedule = ftp_two_oscillator(target, orders, budget=budget, space=space)
+            schedule = ftp_two_oscillator(target, order, budget=budget, space=space)
         else:
             space = make_space([args.cutoff])
             target = parse_target(args.target, space=space)
-            order = int(args.order)
             if args.ftp:
                 schedule = ftp_schedule(target, order, budget=budget, space=space)
             else:
@@ -163,28 +178,25 @@ def cmd_plan(args) -> int:
     started = time.time()
     budget = parse_budget_file(args.budget) if args.budget else CouplingBudget()
     try:
+        order = _parse_order(args.order, args.two_osc)
         if args.two_osc:
-            orders = tuple(int(x) for x in args.order.split(","))
-            if len(orders) == 1:
-                orders = (orders[0], orders[0])
             cutoff = args.cutoff
             space = make_space((cutoff, cutoff))
             target = parse_target(args.target, space=space)
-            steps, t_ftp = two_oscillator_plan(target, orders, budget)
+            steps, t_ftp = two_oscillator_plan(target, order, budget)
             lin_steps, t_lin = two_oscillator_plan(target, (1, 1), budget)
             lines = [
-                f"orders: {orders}",
+                f"orders: {order}",
                 f"steps: {steps} (linear protocol: {lin_steps})",
                 f"T_FTP: {t_ftp * 1e9:.2f} ns (linear: {t_lin * 1e9:.2f} ns)",
             ]
             if args.csv:
                 print("n1,n2,steps,steps_linear,T_ftp_ns,T_linear_ns")
-                print(f"{orders[0]},{orders[1]},{steps},{lin_steps},"
+                print(f"{order[0]},{order[1]},{steps},{lin_steps},"
                       f"{t_ftp * 1e9:.12g},{t_lin * 1e9:.12g}")
             else:
                 print("\n".join(lines))
         else:
-            order = int(args.order)
             space = make_space([args.cutoff])
             target = parse_target(args.target, space=space)
             card = punch_card(target, order)

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class DimensionError(ValueError):
@@ -121,8 +120,7 @@ def ladder_power(space: TruncatedSpace, osc_index: int, n: int) -> np.ndarray:
     return _embed_osc(space, osc_index, single)
 
 
-def _truncation_guard(space, osc_index, photons, what):
-    d = space.osc_cutoffs[osc_index]
+def _truncation_guard(d, photons, what):
     if photons > d / 4:
         warnings.warn(
             f"{what}: expected photon content {photons:.1f} is large for cutoff {d}; "
@@ -131,12 +129,25 @@ def _truncation_guard(space, osc_index, photons, what):
         )
 
 
+def _ladder_eigh(d: int, n: int, zeta: complex):
+    """Eigenpairs (lam, V) of i G for the anti-Hermitian generator
+    G = zeta a†^n − zeta* a^n on one d-level oscillator. i G is Hermitian,
+    so exp(t G) = V diag(e^{−i t lam}) V† for every real t."""
+    an = np.linalg.matrix_power(_single_ladder(d), n)
+    return np.linalg.eigh(1j * (zeta * an.conj().T - np.conj(zeta) * an))
+
+
+def _ladder_exp(d: int, n: int, zeta: complex) -> np.ndarray:
+    """exp(zeta a†^n − zeta* a^n) on one d-level oscillator, from one eigh."""
+    lam, v = _ladder_eigh(d, n, zeta)
+    return (v * np.exp(-1j * lam)) @ v.conj().T
+
+
 def displacement(space: TruncatedSpace, osc_index: int, alpha: complex) -> np.ndarray:
     """Displacement operator D(alpha) = exp(alpha a† − alpha* a)."""
-    _truncation_guard(space, osc_index, abs(alpha) ** 2, "displacement")
-    a = _single_ladder(space.osc_cutoffs[osc_index])
-    gen = alpha * a.conj().T - np.conj(alpha) * a
-    return _embed_osc(space, osc_index, expm(gen))
+    d = space.osc_cutoffs[osc_index]
+    _truncation_guard(d, abs(alpha) ** 2, "displacement")
+    return _embed_osc(space, osc_index, _ladder_exp(d, 1, alpha))
 
 
 def squeezing(space: TruncatedSpace, osc_index: int, n: int, zeta: complex) -> np.ndarray:
@@ -146,10 +157,7 @@ def squeezing(space: TruncatedSpace, osc_index: int, n: int, zeta: complex) -> n
     """
     if n < 1:
         raise DimensionError("squeezing order must be >= 1")
-    a = _single_ladder(space.osc_cutoffs[osc_index])
-    an = np.linalg.matrix_power(a, n)
-    gen = zeta * an.conj().T - np.conj(zeta) * an
-    return _embed_osc(space, osc_index, expm(gen))
+    return _embed_osc(space, osc_index, _ladder_exp(space.osc_cutoffs[osc_index], n, zeta))
 
 
 def rotation(space: TruncatedSpace, osc_index: int, angle: float) -> np.ndarray:

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .fockspace import QUBIT_E, QUBIT_G, _single_ladder, fidelity, make_space, wigner
 from .synthesis import _load_target
@@ -241,6 +240,9 @@ def lindblad_evolve(rho0: np.ndarray, hamiltonian, rates: NoiseRates,
     hamiltonian: callable t -> matrix (or a constant matrix). The result is
     symmetrized; trace preservation to 1e-8 is asserted.
     """
+    # imported here so that loading the library does not load scipy
+    from scipy.integrate import RK45
+
     rho0 = np.asarray(rho0)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
         raise ValueError(f"rho0 must be a square matrix, got shape {rho0.shape}")

@@ -18,10 +18,11 @@ import numpy as np
 from .fockspace import (
     DimensionError,
     TruncatedSpace,
+    _ladder_eigh,
+    _ladder_exp,
+    _truncation_guard,
     coherent_vector,
-    displacement,
     make_space,
-    squeezing,
 )
 
 
@@ -143,18 +144,21 @@ def gkp_zero(space: TruncatedSpace, kappa: float, r: float, P: int) -> TargetSta
     S(r) here squeezes the x quadrature (Var x -> e^{-2r}/2).
     """
     d = space.osc_cutoffs[0]
-    sq = squeezing(space, 0, 2, -r / 2.0)[:d, :d]
-    vac = np.zeros(d, dtype=complex)
-    vac[0] = 1.0
-    base = sq @ vac
-    vec = np.zeros(d, dtype=complex)
+    base = _ladder_exp(d, 2, -r / 2.0)[:, 0]
+    # comb displacement amplitude alpha = k sqrt(2pi), matching the
+    # D(k sqrt(2pi)) convention the squeezing metrics are quoted in. Every
+    # D(k sqrt(2pi)) is diagonal in the eigenbasis of i(a† − a), so the whole
+    # comb is one diagonal applied to base's coefficients there.
+    lam, v = _ladder_eigh(d, 1, 1.0)
+    comb = np.zeros(d, dtype=complex)
     for k in range(-P, P + 1):
         shift = k * GKP_SPACING
+        _truncation_guard(d, shift**2, "displacement")
         w = math.exp(-math.pi * kappa**2 * shift**2 / GKP_SPACING)
-        # comb displacement amplitude alpha = k sqrt(2pi), matching the
-        # D(k sqrt(2pi)) convention the squeezing metrics are quoted in
-        dmat = displacement(space, 0, shift)[:d, :d]
-        vec += w * (dmat @ base)
+        comb += w * np.exp(-1j * shift * lam)
+    # S(r) and every D(k sqrt(2pi)) are real matrices, so the grid state is
+    # real; drop the imaginary rounding the complex eigenbasis leaves
+    vec = (v @ (comb * (v.conj().T @ base))).real
     if abs(vec[-1]) > 1e-6 or abs(vec[-2]) > 1e-6:
         warnings.warn(f"grid state poorly converged at cutoff {d}", stacklevel=2)
     return TargetState(vec, 2, 0, label=f"gkp:kappa={kappa},r={r},P={P}")
@@ -166,11 +170,11 @@ def effective_squeezing(state) -> SqueezingMetrics:
     <D(sqrt(2pi))>, each as Delta = sqrt(ln(1/|<D>|^2) / (2pi))."""
     vec = state.amplitudes if isinstance(state, TargetState) else np.asarray(state, dtype=complex)
     d = vec.shape[0]
-    space = make_space([d])
 
     def delta(alpha):
-        dmat = displacement(space, 0, alpha)[:d, :d]
-        ev = abs(np.vdot(vec, dmat @ vec))
+        _truncation_guard(d, abs(alpha) ** 2, "displacement")
+        lam, v = _ladder_eigh(d, 1, alpha)
+        ev = abs(np.dot(np.abs(v.conj().T @ vec) ** 2, np.exp(-1j * lam)))
         if ev == 0:
             return math.inf
         return math.sqrt(math.log(1.0 / ev**2) / (2.0 * math.pi))

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oscsynth
 from oscsynth import opensystem
 from oscsynth.cli import main, parse_budget_file
 from oscsynth.fockspace import make_space
@@ -144,6 +147,35 @@ def test_two_osc_rejects_three_orders(command, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: orders (2, 2, 2) do not fit a 2-oscillator support\n")
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("command, order, message", [
+    ("plan", "0", "--order '0': interaction orders must be >= 1"),
+    ("synthesize", "0", "--order '0': interaction orders must be >= 1"),
+    ("synthesize", "2,2", "--order '2,2': two orders need --two-osc"),
+], ids=["plan-0", "synthesize-0", "synthesize-2,2"])
+def test_bad_order_exits_one_naming_the_order(command, order, message, tmp_path, capsys):
+    argv = [command, "--target", "fock:0,2", "--order", order]
+    if command == "synthesize":
+        argv += ["--out", str(tmp_path / "s.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "s.json").exists()
+
+
+# the source tree this test run imports oscsynth from
+SRC = os.path.dirname(os.path.dirname(oscsynth.__file__))
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily, by refine_schedule and lindblad_evolve only
+    code = ("import sys, oscsynth, oscsynth.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout == "[]\n"
 
 
 def test_estimate_symmetric_matches_library(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from oscsynth.fockspace import (
     QUBIT_E,
@@ -99,6 +100,20 @@ def test_squeezing_reduces_x_variance():
     x = (a + a.conj().T) / math.sqrt(2.0)
     var = np.real(out.conj() @ (x @ x) @ out) - np.real(out.conj() @ x @ out) ** 2
     assert var == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [8, 40])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ladder_exponentials_match_expm(n, d):
+    # the eigh exponentials against scipy's expm of the same generator,
+    # embedded with the qubit
+    sp = make_space([d])
+    an = np.linalg.matrix_power(np.diag(np.sqrt(np.arange(1.0, d)), 1), n)
+    for zeta in (0.3 + 0.2j, -0.15 + 0.4j, 1.1 - 0.7j):
+        oracle = np.kron(np.eye(2), expm(zeta * an.conj().T - np.conj(zeta) * an))
+        assert np.abs(squeezing(sp, 0, n, zeta) - oracle).max() < 1e-12
+        if n == 1:
+            assert np.abs(displacement(sp, 0, zeta) - oracle).max() < 1e-12
 
 
 def test_rotation_phases_fock_levels():

@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import RK45, solve_ivp
 from scipy.linalg import expm
 
@@ -74,7 +75,7 @@ def spy_integrator(monkeypatch):
         seen.append((fun, solver))
         return solver
 
-    monkeypatch.setattr(opensystem, "RK45", spy)
+    monkeypatch.setattr(scipy.integrate, "RK45", spy)
     return seen
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from oscsynth.fockspace import make_space
 from oscsynth.targets import (
@@ -79,6 +80,47 @@ def test_gkp_even_support_and_envelope_choice():
     assert t.symmetry_order == 2
     occ = np.nonzero(np.abs(t.amplitudes) > 1e-12)[0]
     assert np.all(occ % 2 == 0)
+
+
+def _expm_displacement(d, alpha):
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+def _expm_gkp_comb(d, kappa, r, P):
+    """The grid state built term by term from dense expm exponentials."""
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    base = expm(-r / 2.0 * (a.conj().T @ a.conj().T - a @ a))[:, 0]
+    vec = np.zeros(d, dtype=complex)
+    for k in range(-P, P + 1):
+        shift = k * GKP_SPACING
+        w = math.exp(-math.pi * kappa**2 * shift**2 / GKP_SPACING)
+        vec += w * (_expm_displacement(d, shift) @ base)
+    return vec / np.linalg.norm(vec)
+
+
+@pytest.mark.filterwarnings("ignore:displacement")
+@pytest.mark.parametrize("kappa, r, P", [(0.3, 0.8, 2), (0.2, 1.0, 3)])
+def test_gkp_and_squeezing_metrics_match_expm_comb(kappa, r, P):
+    d = 160
+    oracle = _expm_gkp_comb(d, kappa, r, P)
+    t = gkp_zero(make_space([d]), kappa, r, P)
+    assert np.abs(t.amplitudes - oracle).max() < 1e-12
+    assert not t.amplitudes.imag.any()  # a real comb of real operators
+
+    def delta(alpha):
+        ev = abs(np.vdot(oracle, _expm_displacement(d, alpha) @ oracle))
+        return math.sqrt(math.log(1.0 / ev**2) / (2.0 * math.pi))
+
+    m = effective_squeezing(t)
+    assert abs(m.delta_x - delta(1j * GKP_SPACING)) < 1e-12
+    assert abs(m.delta_p - delta(GKP_SPACING)) < 1e-12
+
+
+def test_gkp_warns_when_a_comb_shift_outgrows_the_cutoff():
+    # at P = 3 the outer terms displace by 3 sqrt(2pi): 56.5 photons > 160 / 4
+    with pytest.warns(UserWarning, match="displacement: expected photon content 56.5"):
+        gkp_zero(make_space([160]), 0.2, 1.0, 3)
 
 
 def test_effective_squeezing_of_squeezed_vacuum():
