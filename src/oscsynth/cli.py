@@ -139,8 +139,8 @@ def _angular(text: str) -> float:
 def cmd_synthesize(args) -> int:
     started = time.time()
     inputs = [args.budget] if args.budget else []
-    budget = parse_budget_file(args.budget) if args.budget else CouplingBudget()
     try:
+        budget = parse_budget_file(args.budget) if args.budget else CouplingBudget()
         order = _parse_order(args.order, args.two_osc)
         if args.two_osc:
             space = make_space((args.cutoff, args.cutoff))
@@ -176,8 +176,8 @@ def cmd_synthesize(args) -> int:
 
 def cmd_plan(args) -> int:
     started = time.time()
-    budget = parse_budget_file(args.budget) if args.budget else CouplingBudget()
     try:
+        budget = parse_budget_file(args.budget) if args.budget else CouplingBudget()
         order = _parse_order(args.order, args.two_osc)
         if args.two_osc:
             cutoff = args.cutoff
@@ -291,6 +291,8 @@ def cmd_open_sim(args) -> int:
         target = None
         if args.target:
             target = parse_target(args.target, space=make_space([args.cutoff]))
+        if args.wigner_points < 2:
+            raise ValueError(f"--wigner-points must be at least 2, got {args.wigner_points}")
     except (FileNotFoundError, ValueError, TargetParseError) as exc:
         return _usage_error(exc)
     try:

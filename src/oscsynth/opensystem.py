@@ -16,20 +16,27 @@ one real mask multiplied into rho, and the two jumps are slice updates
 (the |e><e| block onto |g><g|; sqrt(n+1) sqrt(m+1) rho[n+1, m+1] onto
 rho[n, m]).
 
-The dissipators commute with the superoperator of H0, so each pulse is one
-constant Lindbladian in the lab frame. run_open_protocol evolves it in
-split steps: one eigh of H0 + V per pulse gives the exact step unitary,
-Strang steps interleave it with second-order Taylor steps of the
-dissipators, step doubling with Richardson extrapolation meets rtol and
-atol, and a phase returns rho to the interaction frame. lindblad_evolve
-integrates the interaction-frame master equation with RK45; it is the
-oracle the split steps are tested against.
+A drive acts on the qubit alone, so its Lindbladian splits into two
+commuting factors, L_q x 1 + 1 x L_osc, and run_open_protocol evolves it
+exactly: the 4x4 superoperator of the drive and the qubit dissipators is
+exponentiated once per pulse and applied over the qubit indices, and the
+oscillator's relaxation and dephasing act in closed form, Fock diagonal by
+Fock diagonal.
+
+The dissipators commute with the superoperator of H0, so each exchange
+pulse is one constant Lindbladian in the lab frame. run_open_protocol
+evolves it in split steps: one eigh of H0 + V per pulse gives the exact
+step unitary, Strang steps interleave it with second-order Taylor steps of
+the dissipators, step doubling with Richardson extrapolation meets rtol
+and atol, and a phase returns rho to the interaction frame.
+lindblad_evolve integrates the interaction-frame master equation with
+RK45; it is the oracle both replays are tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,8 +78,8 @@ class NoiseRates:
 
     def __post_init__(self):
         for name in ("gamma_q_r", "gamma_o_r", "gamma_q_phi", "gamma_o_phi"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 class IntegrationError(RuntimeError):
@@ -303,7 +310,8 @@ _MAX_STEPS = 2 ** 16
 
 def _evolve_pulse(rho, h0, v, dissipator, duration, rtol, atol):
     """Evolve the interaction-frame rho for duration under
-    H_I(t) = e^{i h0 t} v e^{-i h0 t} plus the dissipator.
+    H_I(t) = e^{i h0 t} v e^{-i h0 t} plus the dissipator: an exchange
+    pulse (drives go through _evolve_drive).
 
     D commutes with the superoperator of diag(h0), so in the lab frame the
     pulse is the constant Lindbladian of H = diag(h0) + v. One eigh of H
@@ -333,6 +341,9 @@ def _evolve_pulse(rho, h0, v, dissipator, duration, rtol, atol):
     def sweep(n):
         dt = duration / n
         u = (vecs * np.exp(-1j * energies * dt)) @ vecs.conj().T
+        # one Newton-Schulz step: u is unitary to ~1e-15, and applied n
+        # times that error would drift the trace
+        u = 0.5 * u @ (3.0 * np.eye(len(u)) - u.conj().T @ u)
         uh = u.conj().T
         r = dissipate(rho, 0.5 * dt)
         for _ in range(n - 1):
@@ -360,6 +371,60 @@ def _evolve_pulse(rho, h0, v, dissipator, duration, rtol, atol):
         f"{_MAX_STEPS} steps over {duration:.3e} s", t=duration)
 
 
+def _expm_small(a):
+    """e^a of a small square matrix: a Taylor series of degree 18 on a
+    scaled to norm <= 1/2, squared back."""
+    squarings = max(0, math.frexp(np.abs(a).sum(axis=1).max())[1] + 1)
+    a = a / 2.0 ** squarings
+    term = out = np.eye(len(a), dtype=complex)
+    for k in range(1, 19):
+        term = term @ a / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _evolve_drive(rho, omega, phase, rates, duration):
+    """Evolve rho for duration under the qubit drive
+    omega (sigma+ e^{i phase} + sigma- e^{-i phase}) plus the dissipators.
+
+    The drive touches the qubit alone, so the Lindbladian is
+    L_q x 1 + 1 x L_osc with commuting factors. L_q, the drive with qubit
+    relaxation and dephasing, is a 4x4 superoperator built column by
+    column from the 2x2 basis matrices and exponentiated once; it acts on
+    the qubit indices of rho reshaped (2, c, 2, c). e^{L_osc T} is exact in
+    closed form, because damping keeps n - m and dephasing is constant on
+    each such diagonal (k = gamma_o_r, g = gamma_o_phi):
+    rho_nm <- e^{-k (n + m) T / 2 - g (n - m)^2 T / 2}
+              sum_l sqrt(C(n+l, l) C(m+l, l)) (1 - e^{-k T})^l rho_{n+l, m+l}.
+    Decay only moves population down, so the truncated ladder is exact.
+    """
+    cutoff = rho.shape[0] // 2
+    h = np.zeros((2, 2), dtype=complex)
+    h[QUBIT_E, QUBIT_G] = omega * np.exp(1j * phase)
+    h[QUBIT_G, QUBIT_E] = omega * np.exp(-1j * phase)
+    qubit = _dissipator(1, replace(rates, gamma_o_r=0.0, gamma_o_phi=0.0))
+    columns = [(qubit(b) - 1j * (h @ b - b @ h)).ravel()
+               for b in np.eye(4, dtype=complex).reshape(4, 2, 2)]
+    prop = _expm_small(np.stack(columns, axis=1) * duration).reshape(2, 2, 2, 2)
+    r = np.einsum("abij,injm->anbm", prop, rho.reshape(2, cutoff, 2, cutoff))
+
+    n = np.arange(cutoff)
+    kappa_t = rates.gamma_o_r * duration
+    down = -math.expm1(-kappa_t)  # 1 - e^{-k T}: one quantum's loss
+    out = r.copy()
+    for l in range(1, cutoff):
+        weight = down ** l
+        if weight == 0.0:
+            break
+        root = np.sqrt([float(math.comb(k + l, l)) for k in range(cutoff - l)])
+        out[:, :-l, :, :-l] += (weight * np.outer(root, root))[:, None] * r[:, l:, :, l:]
+    out *= np.exp(-0.5 * kappa_t * np.add.outer(n, n)
+                  - 0.5 * rates.gamma_o_phi * duration * np.subtract.outer(n, n) ** 2)[:, None]
+    return _checked(out.reshape(rho.shape), rho, duration)
+
+
 def run_open_protocol(schedule, params: CircuitParams = None,
                       rates: NoiseRates = None, cutoff: int = 30,
                       target=None, rtol: float = 1e-8, atol: float = 1e-10):
@@ -371,8 +436,10 @@ def run_open_protocol(schedule, params: CircuitParams = None,
     interaction-picture circuit Hamiltonian, with negative areas folded
     into a pi coupling phase. The circuit model is exact-semantics
     physics: an exchange step turns every pair, and its selectivity label
-    is ignored. Each pulse is one constant lab-frame Lindbladian, evolved
-    in split steps by _evolve_pulse to rtol and atol. Returns (rho,
+    is ignored. Each pulse is one constant lab-frame Lindbladian. A drive
+    is evolved exactly by _evolve_drive, as a 4x4 qubit factor and a
+    closed-form oscillator decay; an exchange pulse is evolved in split
+    steps by _evolve_pulse to rtol and atol. Returns (rho,
     fidelity) where fidelity is sqrt(<target| rho |target>) against the
     supplied target vector (oscillator amplitudes, qubit in ground), or
     None when no target is given. Zero padding past the cutoff is
@@ -399,10 +466,6 @@ def run_open_protocol(schedule, params: CircuitParams = None,
     gen = InteractionPictureGenerator(params, cutoff)
     dissipator = _dissipator(cutoff, rates)
     dim = 2 * cutoff
-    sp2 = np.zeros((2, 2), dtype=complex)
-    sp2[QUBIT_E, QUBIT_G] = 1.0
-    io = np.eye(cutoff, dtype=complex)
-    no_frame = np.zeros(dim)
 
     rho = np.zeros((dim, dim), dtype=complex)
     i0 = qubit0 * cutoff + level0
@@ -411,10 +474,7 @@ def run_open_protocol(schedule, params: CircuitParams = None,
     for step in schedule.steps:
         phase = step.phase + (math.pi if step.area < 0 else 0.0)
         if step.kind == "drive":
-            h = omega * (np.kron(sp2, io) * np.exp(1j * phase)
-                         + np.kron(sp2.conj().T, io) * np.exp(-1j * phase))
-            rho, _ = _evolve_pulse(rho, no_frame, h, dissipator,
-                                   abs(step.area) / omega, rtol, atol)
+            rho = _evolve_drive(rho, omega, phase, rates, abs(step.area) / omega)
         elif step.kind == "njc":
             if step.order != 2:
                 raise ValueError(

@@ -52,8 +52,9 @@ class CouplingBudget:
     g: dict = field(default_factory=lambda: dict(DEFAULT_G))
 
     def __post_init__(self):
-        if self.omega <= 0 or any(v <= 0 for v in self.g.values()):
-            raise ValueError("coupling magnitudes must be positive")
+        for name, value in [("omega", self.omega), *((f"g[{n}]", v) for n, v in self.g.items())]:
+            if not 0 < value < math.inf:
+                raise ValueError(f"coupling {name} must be finite and positive, got {value}")
 
     def coupling(self, n: int) -> float:
         """The order-n exchange coupling g_n; KeyError naming n if there is none."""

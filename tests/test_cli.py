@@ -245,6 +245,43 @@ def test_open_sim_drive_only_schedule(tmp_path, capsys):
     assert str(sched_path) in manifest["input_digests"]
 
 
+def test_open_sim_rejects_non_finite_rates(tmp_path, capsys):
+    sched_path = tmp_path / "s.json"
+    assert main(["synthesize", "--target", "fock:0", "--order", "1",
+                 "--out", str(sched_path)]) == 0
+    rates = tmp_path / "rates.cfg"
+    rates.write_text("gamma_q_r_hz = nan\n")
+    out = tmp_path / "rho.csv"
+    assert main(["open-sim", "--schedule", str(sched_path), "--rates", str(rates),
+                 "--cutoff", "4", "--out", str(out)]) == 1
+    assert "gamma_q_r" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synthesize_rejects_a_non_finite_budget(tmp_path, capsys):
+    budget = tmp_path / "budget.cfg"
+    budget.write_text("omega = nan *2pi\n")
+    out = tmp_path / "s.json"
+    assert main(["synthesize", "--target", "fock:0,1", "--order", "1",
+                 "--budget", str(budget), "--out", str(out)]) == 1
+    assert "omega" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["0", "1", "-3"])
+def test_open_sim_rejects_too_few_wigner_points(tmp_path, capsys, monkeypatch, points):
+    sched_path = tmp_path / "s.json"
+    assert main(["synthesize", "--target", "fock:0", "--order", "1",
+                 "--out", str(sched_path)]) == 0
+    monkeypatch.setattr(opensystem, "run_open_protocol", None)  # fails before the replay
+    wig = tmp_path / "w.csv"
+    assert main(["open-sim", "--schedule", str(sched_path), "--cutoff", "4",
+                 "--wigner", str(wig), "--wigner-points", points,
+                 "--out", str(tmp_path / "rho.csv")]) == 1
+    assert "--wigner-points" in capsys.readouterr().err
+    assert not wig.exists()
+
+
 def test_open_sim_rejects_number_selective_drives(tmp_path, capsys):
     # ftp schedules climb with number-selective drives, which the circuit
     # model cannot replay

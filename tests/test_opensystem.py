@@ -389,22 +389,26 @@ def cat_target(kind):
     return cat_state(make_space([dim]), math.sqrt(2.0), comp, truncate_at=trunc)
 
 
+def drive_hamiltonian(omega, phase, cutoff):
+    sp = np.zeros((2, 2), dtype=complex)
+    sp[QUBIT_E, QUBIT_G] = 1.0
+    return omega * np.kron(sp * np.exp(1j * phase) + sp.T * np.exp(-1j * phase),
+                           np.eye(cutoff))
+
+
 def rk45_replay(schedule, rates, cutoff, params=CircuitParams(), **kw):
     """The schedule replayed by RK45 in the interaction frame, each pulse
     through lindblad_evolve on H_I(t): the oracle for run_open_protocol."""
     gen = InteractionPictureGenerator(params, cutoff)
     omega = schedule.budget.omega
-    sp = np.zeros((2, 2), dtype=complex)
-    sp[QUBIT_E, QUBIT_G] = 1.0
     rho = np.zeros((2 * cutoff, 2 * cutoff), dtype=complex)
     i0 = schedule.initial[0] * cutoff + schedule.initial[1]
     rho[i0, i0] = 1.0
     for step in schedule.steps:
         phase = step.phase + (math.pi if step.area < 0 else 0.0)
         if step.kind == "drive":
-            h = omega * np.kron(sp * np.exp(1j * phase) + sp.T * np.exp(-1j * phase),
-                                np.eye(cutoff))
-            rho = lindblad_evolve(rho, h, rates, abs(step.area) / omega, **kw)
+            rho = lindblad_evolve(rho, drive_hamiltonian(omega, phase, cutoff), rates,
+                                  abs(step.area) / omega, **kw)
         else:
             h = lambda t, p=phase: gen(t, exchange_phase=p)
             rho = lindblad_evolve(rho, h, rates, abs(step.area) / params.g2,
@@ -424,6 +428,73 @@ def spy_pulses(monkeypatch):
 
     monkeypatch.setattr(opensystem, "_evolve_pulse", spy)
     return seen
+
+
+def spy_drives(monkeypatch):
+    """Record the duration of every _evolve_drive call."""
+    seen = []
+    real = opensystem._evolve_drive
+
+    def spy(rho, omega, phase, rates, duration):
+        seen.append(duration)
+        return real(rho, omega, phase, rates, duration)
+
+    monkeypatch.setattr(opensystem, "_evolve_drive", spy)
+    return seen
+
+
+def forbid_pulses(monkeypatch):
+    """Make evolving any pulse, drive or exchange, fail the test."""
+    def evolve(*args):
+        raise AssertionError("a pulse was evolved")
+
+    monkeypatch.setattr(opensystem, "_evolve_pulse", evolve)
+    monkeypatch.setattr(opensystem, "_evolve_drive", evolve)
+
+
+def drive_schedule(cutoff):
+    """Drives only, with phases, a negative area and an excited Fock start."""
+    steps = [PulseStep("drive", 1.1, 0.4), PulseStep("drive", -0.6, 1.3),
+             PulseStep("drive", 2.9, -0.7)]
+    return PulseSchedule(steps=steps, space=make_space([cutoff]), budget=CouplingBudget(),
+                         initial=(QUBIT_G, 3))
+
+
+@pytest.mark.parametrize("case", sorted(RATE_CASES))
+def test_drive_only_schedules_match_rk45(monkeypatch, case):
+    cutoff = 8
+    rates = RATE_CASES[case]
+    seen = spy_pulses(monkeypatch)
+    rho, _ = run_open_protocol(drive_schedule(cutoff), CircuitParams(), rates, cutoff=cutoff)
+    assert seen == []  # no drive goes through the split steps
+    ref = rk45_replay(drive_schedule(cutoff), rates, cutoff, rtol=1e-12, atol=1e-14)
+    assert np.abs(rho - ref).max() < 1e-9
+
+
+@pytest.mark.parametrize("case", sorted(RATE_CASES))
+def test_drive_keeps_oscillator_coherences_as_rk45_does(case):
+    # a random rho has coherences on every Fock diagonal for the closed form
+    cutoff = 8
+    rates = RATE_CASES[case]
+    omega, phase, duration = CouplingBudget().omega, -2.1, 1.3 / CouplingBudget().omega
+    rho0 = random_density(np.random.default_rng(3), 2 * cutoff)
+    rho = opensystem._evolve_drive(rho0, omega, phase, rates, duration)
+    ref = lindblad_evolve(rho0, drive_hamiltonian(omega, phase, cutoff), rates, duration,
+                          rtol=1e-12, atol=1e-14)
+    assert np.abs(rho - ref).max() < 1e-9
+
+
+def test_drive_matches_the_split_step_result():
+    cutoff = 8
+    rates = RATE_CASES["all"]
+    omega, phase, duration = CouplingBudget().omega, 0.9, 2.2 / CouplingBudget().omega
+    rho0 = random_density(np.random.default_rng(4), 2 * cutoff)
+    rho = opensystem._evolve_drive(rho0, omega, phase, rates, duration)
+    ref, _ = opensystem._evolve_pulse(rho0, np.zeros(2 * cutoff),
+                                      drive_hamiltonian(omega, phase, cutoff),
+                                      opensystem._dissipator(cutoff, rates), duration,
+                                      1e-10, 1e-12)
+    assert np.abs(rho - ref).max() < 1e-11
 
 
 @pytest.mark.parametrize("case", sorted(RATE_CASES))
@@ -449,26 +520,44 @@ def test_split_steps_match_rk45_on_the_first_cat_pulses(kind):
 
 @pytest.fixture(scope="module")
 def cat_replays():
-    """Criterion 6's replays at cutoff 30: {(kind, tight): (rho, fid, pulses)}."""
+    """Criterion 6's replays at cutoff 30:
+    {(kind, tight): (rho, fid, split-step pulses, drive durations)}."""
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         seen = spy_pulses(mp)
+        drives = spy_drives(mp)
         for kind, tight in (("cat2", False), ("cat4", False), ("cat4", True)):
             kw = {"rtol": 0.5e-8, "atol": 0.5e-10} if tight else {}
             rho, fid = run_open_protocol(cat_schedule(kind), CircuitParams(), NoiseRates(),
                                          cutoff=30, target=cat_target(kind), **kw)
-            out[kind, tight] = rho, fid, list(seen)
+            out[kind, tight] = rho, fid, list(seen), list(drives)
             seen.clear()
+            drives.clear()
     return out
 
 
 @pytest.mark.parametrize("kind", sorted(CAT_SCHEDULES))
 def test_cat_fidelities_match_the_rk45_replay(cat_replays, kind):
-    rho, fid, _ = cat_replays[kind, False]
+    rho, fid, _, _ = cat_replays[kind, False]
     assert fid == pytest.approx(RK45_FIDELITY[kind], abs=1e-6)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(CAT_SCHEDULES))
+def test_cat_replays_keep_the_trace(cat_replays, kind):
+    # the split steps' unitaries are polished, so their rounding does not add up
+    rho = cat_replays[kind, False][0]
+    assert abs(np.trace(rho).real - 1.0) < 2e-13
+
+
+def test_only_exchange_pulses_take_split_steps(cat_replays):
+    for kind, (exch, drive, _) in CAT_SCHEDULES.items():
+        _, _, pulses, drives = cat_replays[kind, False]
+        assert [t for _, t, _ in pulses] == [abs(a) / CircuitParams().g2 for a in exch]
+        assert all(h0.any() for h0, _, _ in pulses)
+        assert drives == [abs(a) / CouplingBudget().omega for a in drive]
 
 
 def test_exchange_steps_sample_the_fastest_frame_frequency(cat_replays):
@@ -476,7 +565,7 @@ def test_exchange_steps_sample_the_fastest_frame_frequency(cat_replays):
     params = CircuitParams()
     fastest = params.omega_q + 2 * params.omega_o
     exchanges = [(t, steps) for kind in CAT_SCHEDULES
-                 for h0, t, steps in cat_replays[kind, False][2] if h0.any()]
+                 for _, t, steps in cat_replays[kind, False][2]]
     assert len(exchanges) == 9
     for duration, steps in exchanges:
         assert steps[0] >= fastest * duration / math.pi
@@ -501,13 +590,14 @@ def test_non_finite_rho_raises_with_the_time():
 
 
 def test_step_doubling_past_its_cap_raises_with_the_time(monkeypatch):
+    # a short exchange pulse starts at 26 steps, so 64 stops it after one doubling
     monkeypatch.setattr(opensystem, "_MAX_STEPS", 64)
-    sched = PulseSchedule(steps=[PulseStep("drive", 1.0, 0.0)], space=make_space([4]),
-                          budget=CouplingBudget())
+    sched = PulseSchedule(steps=[PulseStep("njc", 0.1, 0.0, osc_index=0, order=2)],
+                          space=make_space([4]), budget=CouplingBudget())
     with pytest.raises(IntegrationError, match="64 steps") as err:
         run_open_protocol(sched, CircuitParams(), RATE_CASES["all"], cutoff=4,
                           rtol=0.0, atol=0.0)
-    assert err.value.t == pytest.approx(1.0 / CouplingBudget().omega)
+    assert err.value.t == pytest.approx(0.1 / CircuitParams().g2)
 
 
 def test_run_open_protocol_target_fidelity_sqrt_convention():
@@ -547,10 +637,7 @@ def test_run_open_protocol_rejects_target_support_at_the_cutoff():
 
 
 def test_run_open_protocol_checks_the_target_before_any_pulse(monkeypatch):
-    def evolve(*args):
-        raise AssertionError("a pulse was evolved before the target was checked")
-
-    monkeypatch.setattr(opensystem, "_evolve_pulse", evolve)
+    forbid_pulses(monkeypatch)
     sched = PulseSchedule(steps=[PulseStep("drive", 0.5)], space=make_space([4]),
                           budget=CouplingBudget())
     with pytest.raises(ValueError, match="no support"):
@@ -580,7 +667,7 @@ def test_run_open_protocol_rejects_number_selective_drives(monkeypatch):
     target = TargetState([0.5, 0, 0.5, 0, 0.5, 0, 0.5])
     sched = ftp_schedule(target, 2, budget=CouplingBudget())
     first = next(s.selectivity for s in sched.steps if s.kind == "drive")
-    monkeypatch.setattr(opensystem, "_evolve_pulse", None)
+    forbid_pulses(monkeypatch)
     with pytest.raises(ValueError, match="number-selective") as err:
         run_open_protocol(sched, cutoff=12, target=target)
     assert str(first) in str(err.value)
@@ -645,6 +732,13 @@ def test_config_parse_errors(tmp_path):
         load_params(bad3)
     with pytest.raises(ValueError):
         NoiseRates(gamma_q_r=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", ["gamma_q_r", "gamma_o_r", "gamma_q_phi", "gamma_o_phi"])
+def test_noise_rates_must_be_finite_and_non_negative(name, value):
+    with pytest.raises(ValueError, match=name):
+        NoiseRates(**{name: value})
 
 
 def test_density_matrix_to_csv():

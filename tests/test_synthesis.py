@@ -204,6 +204,14 @@ def test_default_budget_values():
         CouplingBudget(omega=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+def test_budget_couplings_must_be_finite_and_positive(value):
+    with pytest.raises(ValueError, match="omega"):
+        CouplingBudget(omega=value)
+    with pytest.raises(ValueError, match=r"g\[2\]"):
+        CouplingBudget(g={1: 1.0, 2: value})
+
+
 def test_refine_schedule_never_worsens():
     sp = make_space([12])
     target = cat_state(sp, 1.3, "2-even", truncate_at=6)
