@@ -96,6 +96,17 @@ def parse_budget_file(path) -> CouplingBudget:
     return CouplingBudget(omega=omega, g=g)
 
 
+def _load_budget(path) -> CouplingBudget:
+    """The --budget file's couplings, or the default budget without one. A
+    missing file raises ValueError naming it."""
+    if not path:
+        return CouplingBudget()
+    try:
+        return parse_budget_file(path)
+    except FileNotFoundError:
+        raise ValueError(f"budget file {path!r} not found") from None
+
+
 def _usage_error(exc: Exception) -> int:
     """Report a bad input and return the usage exit code. A KeyError's
     message is its first argument (its str() adds quotes)."""
@@ -140,7 +151,7 @@ def cmd_synthesize(args) -> int:
     started = time.time()
     inputs = [args.budget] if args.budget else []
     try:
-        budget = parse_budget_file(args.budget) if args.budget else CouplingBudget()
+        budget = _load_budget(args.budget)
         order = _parse_order(args.order, args.two_osc)
         if args.two_osc:
             space = make_space((args.cutoff, args.cutoff))
@@ -177,7 +188,7 @@ def cmd_synthesize(args) -> int:
 def cmd_plan(args) -> int:
     started = time.time()
     try:
-        budget = parse_budget_file(args.budget) if args.budget else CouplingBudget()
+        budget = _load_budget(args.budget)
         order = _parse_order(args.order, args.two_osc)
         if args.two_osc:
             cutoff = args.cutoff

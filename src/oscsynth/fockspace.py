@@ -212,6 +212,10 @@ class WignerGrid:
     values: np.ndarray = field(repr=False)
 
     def integral(self) -> float:
+        for name, axis in (("x_axis", self.x_axis), ("p_axis", self.p_axis)):
+            if len(axis) < 2:
+                raise ValueError(f"{name} has {len(axis)} point(s); "
+                                 "integrating needs at least 2")
         dx = self.x_axis[1] - self.x_axis[0]
         dp = self.p_axis[1] - self.p_axis[0]
         return float(np.sum(self.values) * dx * dp)
@@ -229,14 +233,26 @@ def wigner(state: np.ndarray, x_axis=None, p_axis=None) -> WignerGrid:
 
     W(x, p) = (1/pi) Tr[rho D(alpha) P D†(alpha)] with alpha = (x + ip)/√2
     and P the photon-number parity. This normalization integrates to 1 and
-    puts the vacuum peak at 1/pi. Accepts a Fock-basis vector or density
-    matrix over the oscillator alone; trace out the qubit first.
+    puts the vacuum peak at 1/pi. Accepts a Fock-basis vector or a square
+    density matrix over the oscillator alone; trace out the qubit first.
+    Anything else raises DimensionError.
+
+    The sum is the closed form of Cahill and Glauber (Phys. Rev. 177, 1882,
+    1969), taken radially:
+    W = e^{-2|alpha|^2}/pi sum_k (2 - delta_k0) Re[(2 alpha)^k c_k(|alpha|^2)],
+    c_k(r) = sum_m rho[m, m+k] (-1)^m sqrt(m!/(m+k)!) L_m^k(4r).
+    The generalized Laguerre polynomials, scaled by sqrt(m! k!/(m+k)!),
+    run by their three-term recurrence in m on the grid's distinct
+    |alpha|^2 only; the sum over k runs by Horner's rule on the grid.
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         rho = np.outer(state, state.conj())
-    else:
+    elif state.ndim == 2 and state.shape[0] == state.shape[1]:
         rho = state
+    else:
+        raise DimensionError(
+            f"state must be a vector or a square matrix, got shape {state.shape}")
     dim = rho.shape[0]
     if x_axis is None:
         x_axis = np.linspace(-5.0, 5.0, 201)
@@ -245,27 +261,30 @@ def wigner(state: np.ndarray, x_axis=None, p_axis=None) -> WignerGrid:
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
 
-    X, P = np.meshgrid(x_axis, p_axis, indexing="ij")
-    A = (X + 1j * P) / math.sqrt(2.0)
+    # s = x^2 + p^2 = 2 |alpha|^2, deduplicated exactly
+    s_grid = np.add.outer(x_axis ** 2, p_axis ** 2)
+    s, where = np.unique(s_grid, return_inverse=True)
+    where = where.reshape(s_grid.shape)
+    damp = np.exp(-s) / math.pi
+    z = math.sqrt(2.0) * np.add.outer(x_axis, 1j * p_axis)  # 2 alpha
 
-    # Iterative ladder recurrence over Wigner functions of |m><n| (the same
-    # scheme used by standard open-source Wigner implementations); avoids a
-    # matrix exponential per grid point.
-    wlist = [np.exp(-2.0 * np.abs(A) ** 2) / math.pi]
-    vals = np.real(rho[0, 0]) * np.real(wlist[0])
-    for n in range(1, dim):
-        wlist.append(2.0 * A * wlist[n - 1] / math.sqrt(n))
-        vals = vals + 2.0 * np.real(rho[0, n] * wlist[n])
-    for m in range(1, dim):
-        temp = wlist[m].copy()
-        wlist[m] = (2.0 * np.conj(A) * temp - math.sqrt(m) * wlist[m - 1]) / math.sqrt(m)
-        vals = vals + np.real(rho[m, m] * wlist[m])
-        for n in range(m + 1, dim):
-            temp2 = (2.0 * A * wlist[n - 1] - math.sqrt(m) * temp) / math.sqrt(n)
-            temp = wlist[n].copy()
-            wlist[n] = temp2
-            vals = vals + 2.0 * np.real(rho[m, n] * wlist[n])
-    return WignerGrid(x_axis, p_axis, vals)
+    # Horner's rule from the top k, acc <- acc (2 alpha) / sqrt(k + 1) + c_k,
+    # sums c_k (2 alpha)^k / sqrt(k!), so c_k sums rho[m, m+k] h_m with
+    # h_m = (-1)^m sqrt(m! k!/(m+k)!) L_m^k(2 s).
+    acc = np.zeros(s_grid.shape, dtype=complex)
+    for k in range(dim - 1, -1, -1):
+        h_prev, h = 0.0, np.ones_like(s)
+        c_k = rho[0, k] * h
+        for m in range(dim - k - 1):
+            h_prev, h = h, (((2.0 * s - (2 * m + 1 + k)) * h
+                             - math.sqrt(m * (m + k)) * h_prev)
+                            / math.sqrt((m + 1) * (m + 1 + k)))
+            c_k += rho[m + 1, m + 1 + k] * h
+        c_k *= damp if k == 0 else 2.0 * damp
+        acc *= z
+        acc *= 1.0 / math.sqrt(k + 1)
+        acc += c_k[where]
+    return WignerGrid(x_axis, p_axis, acc.real)
 
 
 def coherent_vector(dim: int, alpha: complex) -> np.ndarray:

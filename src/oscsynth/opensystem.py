@@ -14,21 +14,23 @@ dissipators act in closed form on the (qubit, Fock) index grid: their
 diagonal terms (the -1/2 {L'L, rho} parts and both dephasings) fold into
 one real mask multiplied into rho, and the two jumps are slice updates
 (the |e><e| block onto |g><g|; sqrt(n+1) sqrt(m+1) rho[n+1, m+1] onto
-rho[n, m]).
+rho[n, m]). Their exponential e^{D t} is closed-form as well: the jumps
+summed to all orders (the oscillator's order l moves rho[n+l, m+l] onto
+rho[n, m]), then the mask's exponential.
 
 A drive acts on the qubit alone, so its Lindbladian splits into two
 commuting factors, L_q x 1 + 1 x L_osc, and run_open_protocol evolves it
 exactly: the 4x4 superoperator of the drive and the qubit dissipators is
 exponentiated once per pulse and applied over the qubit indices, and the
-oscillator's relaxation and dephasing act in closed form, Fock diagonal by
-Fock diagonal.
+oscillator's relaxation and dephasing act through their closed-form
+exponential.
 
 The dissipators commute with the superoperator of H0, so each exchange
 pulse is one constant Lindbladian in the lab frame. run_open_protocol
 evolves it in split steps: one eigh of H0 + V per pulse gives the exact
-step unitary, Strang steps interleave it with second-order Taylor steps of
-the dissipators, step doubling with Richardson extrapolation meets rtol
-and atol, and a phase returns rho to the interaction frame.
+step unitary, Strang steps interleave it with the exact dissipator steps
+e^{D dt}, step doubling with Richardson extrapolation meets rtol and
+atol, and a phase returns rho to the interaction frame.
 lindblad_evolve integrates the interaction-frame master equation with
 RK45; it is the oracle both replays are tested against.
 """
@@ -208,7 +210,8 @@ class InteractionPictureGenerator:
 
 def _dissipator(cutoff: int, rates: NoiseRates):
     """D(rho) of the four zero-temperature dissipators on the (qubit, Fock)
-    index grid of dimension 2 * cutoff, as a function of rho."""
+    index grid of dimension 2 * cutoff, as a function of rho. Its exp(dt)
+    returns the exact step rho -> e^{D dt} rho."""
     dim = 2 * cutoff
     # Diagonal parts of all four dissipators as one mask on (i, j): the
     # -1/2 {L'L, rho} terms, qubit dephasing and oscillator dephasing.
@@ -233,8 +236,41 @@ def _dissipator(cutoff: int, rates: NoiseRates):
         out.ravel()[: -(dim + 1)] += w_osc * rho.ravel()[dim + 1:]
         return out
 
-    # D is triangular in excitation number, so its eigenvalues are the mask
-    dissipator.max_rate = float(np.abs(mask).max())
+    def exp(dt):
+        """rho -> e^{D dt} rho. The qubit and oscillator factors commute;
+        each sums its jumps to all orders and then decays by e^{mask dt}.
+        The oscillator's order-l jump shifts rho by l (dim + 1), weighted
+        p^l sqrt(C(n+l, l) C(m+l, l)) with p = 1 - e^{-gamma_o_r dt}, and
+        orders are kept while the largest weight, at the top level, is
+        above rounding. The qubit's jump moves 1 - e^{-gamma_q_r dt} of
+        |e><e| onto |g><g|. Every weight is at most a binomial, so no rate
+        overflows the step."""
+        p = -math.expm1(-rates.gamma_o_r * dt)
+        jumps = []
+        weight = np.ones(cutoff)  # sqrt(p^l C(n+l, l)) for n < cutoff - l
+        for l in range(1, cutoff):
+            weight = weight[:-1] * np.sqrt(p * (np.arange(cutoff - l) + l) / l)
+            if weight[-1] ** 2 < np.finfo(float).eps:
+                break
+            w = np.tile(np.append(weight, np.zeros(l)), 2)
+            shift = l * (dim + 1)
+            jumps.append((shift, np.outer(w, w).ravel()[:-shift].astype(complex)))
+        to_g = -math.expm1(-rates.gamma_q_r * dt)
+        # complex factors: real ones would be cast on every step
+        decay = np.exp(mask * dt).astype(complex)
+
+        def step(rho):
+            out = rho.copy()
+            flat, src = out.ravel(), rho.ravel()
+            for shift, w in jumps:
+                flat[:-shift] += w * src[shift:]
+            out[g, g] += to_g * out[e, e]
+            out *= decay
+            return out
+
+        return step
+
+    dissipator.exp = exp
     return dissipator
 
 
@@ -316,27 +352,17 @@ def _evolve_pulse(rho, h0, v, dissipator, duration, rtol, atol):
     D commutes with the superoperator of diag(h0), so in the lab frame the
     pulse is the constant Lindbladian of H = diag(h0) + v. One eigh of H
     gives the exact step unitary U; N Strang steps
-    rho <- e^{D dt/2} U rho U' e^{D dt/2} apply e^{D dt} as second-order
-    Taylor steps, merging the half steps between unitaries, and a phase
+    rho <- e^{D dt/2} U rho U' e^{D dt/2} apply the exact dissipator step
+    (dissipator.exp), merging the half steps between unitaries, and a phase
     e^{i (h0_i - h0_j) T} returns rho to the interaction frame. N starts
     at the smallest count that samples the fastest frequency v carries in
-    the h0 frame (coarser steps alias it) and keeps |D| dt <= 1 (the
-    Taylor step is stable below 2), then doubles until
+    the h0 frame (coarser steps alias it), then doubles until
     max|S(2N) - S(N)| / 3 <= atol + rtol max|rho|; the Richardson value
     (4 S(2N) - S(N)) / 3 is returned with the list of step counts run.
     """
     energies, vecs = np.linalg.eigh(np.diag(h0) + v)
     rows, cols = np.nonzero(v)
     fastest = np.abs(h0[rows] - h0[cols]).max(initial=0.0)
-
-    def dissipate(r, dt):
-        k = dissipator(r)
-        k *= dt
-        k2 = dissipator(k)
-        k2 *= 0.5 * dt
-        k += r
-        k += k2
-        return k
 
     def sweep(n):
         dt = duration / n
@@ -345,17 +371,18 @@ def _evolve_pulse(rho, h0, v, dissipator, duration, rtol, atol):
         # times that error would drift the trace
         u = 0.5 * u @ (3.0 * np.eye(len(u)) - u.conj().T @ u)
         uh = u.conj().T
-        r = dissipate(rho, 0.5 * dt)
+        full, half = dissipator.exp(dt), dissipator.exp(0.5 * dt)
+        r = half(rho)
         for _ in range(n - 1):
-            r = dissipate(u @ r @ uh, dt)
-        r = dissipate(u @ r @ uh, 0.5 * dt)
+            r = full(u @ r @ uh)
+        r = half(u @ r @ uh)
         if not np.isfinite(r).all():
             raise IntegrationError(
                 f"split-step rho became non-finite by t = {duration:.3e} s "
                 f"at {n} steps", t=duration)
         return r
 
-    n = max(1, math.ceil(max(fastest / math.pi, dissipator.max_rate) * duration))
+    n = max(1, math.ceil(fastest / math.pi * duration))
     steps = []
     while n <= _MAX_STEPS:
         steps.append(n)
@@ -393,12 +420,8 @@ def _evolve_drive(rho, omega, phase, rates, duration):
     L_q x 1 + 1 x L_osc with commuting factors. L_q, the drive with qubit
     relaxation and dephasing, is a 4x4 superoperator built column by
     column from the 2x2 basis matrices and exponentiated once; it acts on
-    the qubit indices of rho reshaped (2, c, 2, c). e^{L_osc T} is exact in
-    closed form, because damping keeps n - m and dephasing is constant on
-    each such diagonal (k = gamma_o_r, g = gamma_o_phi):
-    rho_nm <- e^{-k (n + m) T / 2 - g (n - m)^2 T / 2}
-              sum_l sqrt(C(n+l, l) C(m+l, l)) (1 - e^{-k T})^l rho_{n+l, m+l}.
-    Decay only moves population down, so the truncated ladder is exact.
+    the qubit indices of rho reshaped (2, c, 2, c). e^{L_osc T} is the
+    closed-form dissipator step of the oscillator rates alone.
     """
     cutoff = rho.shape[0] // 2
     h = np.zeros((2, 2), dtype=complex)
@@ -409,20 +432,8 @@ def _evolve_drive(rho, omega, phase, rates, duration):
                for b in np.eye(4, dtype=complex).reshape(4, 2, 2)]
     prop = _expm_small(np.stack(columns, axis=1) * duration).reshape(2, 2, 2, 2)
     r = np.einsum("abij,injm->anbm", prop, rho.reshape(2, cutoff, 2, cutoff))
-
-    n = np.arange(cutoff)
-    kappa_t = rates.gamma_o_r * duration
-    down = -math.expm1(-kappa_t)  # 1 - e^{-k T}: one quantum's loss
-    out = r.copy()
-    for l in range(1, cutoff):
-        weight = down ** l
-        if weight == 0.0:
-            break
-        root = np.sqrt([float(math.comb(k + l, l)) for k in range(cutoff - l)])
-        out[:, :-l, :, :-l] += (weight * np.outer(root, root))[:, None] * r[:, l:, :, l:]
-    out *= np.exp(-0.5 * kappa_t * np.add.outer(n, n)
-                  - 0.5 * rates.gamma_o_phi * duration * np.subtract.outer(n, n) ** 2)[:, None]
-    return _checked(out.reshape(rho.shape), rho, duration)
+    oscillator = _dissipator(cutoff, replace(rates, gamma_q_r=0.0, gamma_q_phi=0.0))
+    return _checked(oscillator.exp(duration)(r.reshape(rho.shape)), rho, duration)
 
 
 def run_open_protocol(schedule, params: CircuitParams = None,

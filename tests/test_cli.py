@@ -229,6 +229,17 @@ def test_open_sim_missing_schedule_exits_one(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synthesize", "plan"])
+def test_missing_budget_file_exits_one(tmp_path, capsys, command):
+    missing = tmp_path / "missing.cfg"
+    out = tmp_path / "s.json"
+    argv = [command, "--target", "fock:0,1", "--order", "1", "--budget", str(missing),
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: budget file {str(missing)!r} not found\n"
+    assert not out.exists()
+
+
 def test_open_sim_drive_only_schedule(tmp_path, capsys):
     # synthesize a trivial drive-only schedule, then replay it dissipatively
     sched_path = tmp_path / "s.json"

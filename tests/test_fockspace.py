@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from oscsynth.fockspace import (
     QUBIT_E,
@@ -201,6 +202,56 @@ class TestWigner:
         g1 = wigner(g_block(self.sp, v), self.ax, self.ax)
         g2 = wigner(rho_osc, self.ax, self.ax)
         assert np.allclose(g1.values, g2.values, atol=1e-10)
+
+
+def closed_form_wigner(m, n, xs, ps):
+    """W of |m><n| for n >= m (Cahill and Glauber, Phys. Rev. 177, 1882, 1969)."""
+    alpha = np.add.outer(xs, 1j * np.asarray(ps)) / math.sqrt(2.0)
+    r = np.abs(alpha) ** 2
+    return ((-1) ** m * np.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)))
+            * (2 * alpha) ** (n - m) * eval_genlaguerre(m, n - m, 4 * r)
+            * np.exp(-2 * r) / math.pi)
+
+
+@pytest.mark.parametrize("cutoff, m, n", [(30, 10, 29), (40, 10, 39), (40, 39, 39),
+                                          (60, 20, 59), (60, 40, 59)])
+def test_wigner_matches_the_closed_form_on_fock_coherences(cutoff, m, n):
+    ax = np.linspace(-5.0, 5.0, 201)
+    rho = np.zeros((cutoff, cutoff), dtype=complex)
+    rho[m, n] += 0.5
+    rho[n, m] += 0.5
+    ref = closed_form_wigner(m, n, ax, ax).real
+    assert np.abs(wigner(rho, ax, ax).values - ref).max() < 1e-12
+
+
+def test_wigner_matches_the_closed_form_on_a_random_state():
+    # an asymmetric grid, so that no two points share a radius
+    xs, ps = np.linspace(-3.1, 4.3, 37), np.linspace(-2.2, 3.7, 29)
+    assert np.unique(np.add.outer(xs ** 2, ps ** 2)).size == xs.size * ps.size
+    rng = np.random.default_rng(7)
+    d = 12
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    ref = sum(rho[i, i].real * closed_form_wigner(i, i, xs, ps).real for i in range(d))
+    ref += sum(2 * (rho[i, j] * closed_form_wigner(i, j, xs, ps)).real
+               for i in range(d) for j in range(i + 1, d))
+    assert np.abs(wigner(rho, xs, ps).values - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 2, 2)])
+def test_wigner_rejects_a_state_that_is_not_a_vector_or_square_matrix(shape):
+    with pytest.raises(DimensionError, match="square"):
+        wigner(np.ones(shape))
+
+
+@pytest.mark.parametrize("axis", ["x_axis", "p_axis"])
+def test_wigner_integral_needs_two_points_on_each_axis(axis):
+    axes = {"x_axis": np.linspace(-1.0, 1.0, 5), "p_axis": np.linspace(-1.0, 1.0, 5)}
+    axes[axis] = np.array([0.0])
+    grid = wigner(np.array([1.0, 0.0]), axes["x_axis"], axes["p_axis"])
+    with pytest.raises(ValueError, match=axis):
+        grid.integral()
 
 
 @settings(max_examples=25, deadline=None)

@@ -91,7 +91,7 @@ RATE_CASES = {
     "q_phi": NoiseRates(0.0, 0.0, 5e5, 0.0),
     "o_phi": NoiseRates(0.0, 0.0, 0.0, 7e5),
     "all": NoiseRates(2e5, 3e5, 5e5, 7e5),
-    # |D| T above 1 on every pulse at cutoff 8: the Taylor steps' own floor
+    # |D| T above 1 on every pulse at cutoff 8: every jump order matters
     "strong": NoiseRates(2e7, 3e7, 5e7, 7e7),
 }
 
@@ -111,6 +111,36 @@ def test_rhs_matches_dense_dissipators(monkeypatch, cutoff, case):
         ref = dense_rhs(h, rho, _lindblad_ops(rates, cutoff))
         got = rhs(0.0, rho.ravel()).reshape(dim, dim)
         assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-12
+
+
+def dense_superoperator(rates, cutoff):
+    """The dissipators of _lindblad_ops as one matrix on the row-major vec(rho)."""
+    eye = np.eye(2 * cutoff)
+    return sum(g * (np.kron(L, L.conj()) - 0.5 * (np.kron(LL, eye) + np.kron(eye, LL.T)))
+               for g, L, LL in _lindblad_ops(rates, cutoff))
+
+
+@pytest.mark.parametrize("dt", [1e-12, 1e-11, 1e-10, 1e-9, 1e-8])
+@pytest.mark.parametrize("case", sorted(RATE_CASES))
+def test_dissipator_step_is_the_exponential_of_the_dense_superoperator(case, dt):
+    cutoff = 5
+    rates = RATE_CASES[case]
+    m = random_density(np.random.default_rng(5), 2 * cutoff)
+    rho = m @ m / np.trace(m @ m).real
+    got = opensystem._dissipator(cutoff, rates).exp(dt)(rho)
+    ref = (expm(dense_superoperator(rates, cutoff) * dt) @ rho.ravel()).reshape(rho.shape)
+    assert np.abs(got - ref).max() < 1e-12
+    assert abs(np.trace(got) - 1.0) < 1e-14
+
+
+def test_dissipator_step_takes_rates_far_above_one_over_dt():
+    # e^{-gamma dt} underflows: every population decays onto |g, 0>
+    cutoff = 3
+    rho = np.eye(2 * cutoff, dtype=complex) / (2 * cutoff)
+    out = opensystem._dissipator(cutoff, NoiseRates(1e14, 1e14, 0.0, 0.0)).exp(1e-10)(rho)
+    expected = np.zeros_like(rho)
+    expected[QUBIT_G * cutoff, QUBIT_G * cutoff] = 1.0
+    assert np.abs(out - expected).max() < 1e-15
 
 
 def test_exchange_pulse_matches_dense_rhs(monkeypatch):
@@ -550,6 +580,22 @@ def test_cat_replays_keep_the_trace(cat_replays, kind):
     # the split steps' unitaries are polished, so their rounding does not add up
     rho = cat_replays[kind, False][0]
     assert abs(np.trace(rho).real - 1.0) < 2e-13
+
+
+# split-step counts and fidelities of the cat replays at default rates and
+# tolerances, to guard the step rule and the dissipator step
+CAT_SPLIT_STEPS = {
+    "cat2": [[217, 434], [101, 202, 404], [49, 98], [24, 48], [43, 86]],
+    "cat4": [[120, 240], [65, 130, 260], [7, 14, 28], [54, 108, 216]],
+}
+SPLIT_STEP_FIDELITY = {"cat2": 0.983004365205, "cat4": 0.978143970163}
+
+
+@pytest.mark.parametrize("kind", sorted(CAT_SCHEDULES))
+def test_cat_split_steps_and_fidelities_are_pinned(cat_replays, kind):
+    _, fid, pulses, _ = cat_replays[kind, False]
+    assert [steps for _, _, steps in pulses] == CAT_SPLIT_STEPS[kind]
+    assert fid == pytest.approx(SPLIT_STEP_FIDELITY[kind], abs=1e-12)
 
 
 def test_only_exchange_pulses_take_split_steps(cat_replays):
