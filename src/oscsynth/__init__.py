@@ -18,9 +18,7 @@ from .gates import (
     DispersiveModel,
     PulseStep,
     drive_propagator,
-    njc_propagator,
     selective_drive_frequency,
-    selective_drive_propagator,
     xi,
 )
 from .synthesis import (

@@ -97,14 +97,8 @@ def parse_budget_file(path) -> CouplingBudget:
 
 
 def _load_budget(path) -> CouplingBudget:
-    """The --budget file's couplings, or the default budget without one. A
-    missing file raises ValueError naming it."""
-    if not path:
-        return CouplingBudget()
-    try:
-        return parse_budget_file(path)
-    except FileNotFoundError:
-        raise ValueError(f"budget file {path!r} not found") from None
+    """The --budget file's couplings, or the default budget without one."""
+    return parse_budget_file(path) if path else CouplingBudget()
 
 
 def _usage_error(exc: Exception) -> int:
@@ -112,6 +106,19 @@ def _usage_error(exc: Exception) -> int:
     message is its first argument (its str() adds quotes)."""
     print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _missing_input(args, exc: FileNotFoundError) -> int:
+    """Report an input file that does not exist, named by its argument (a
+    target's file is the path of its amps:<file> spec), and return the
+    usage exit code. A missing file that is no input is re-raised."""
+    for name in ("budget", "schedule", "params", "rates", "target"):
+        path = getattr(args, name, None) or ""
+        if name == "target":
+            path = path.partition(":")[2].strip()
+        if path == exc.filename:
+            return _usage_error(ValueError(f"{name} file {path!r} not found"))
+    raise exc
 
 
 def _parse_order(text: str, two_osc: bool):
@@ -284,12 +291,8 @@ def cmd_open_sim(args) -> int:
                              density_matrix_to_csv, load_params, load_rates,
                              run_open_protocol)
     inputs = [args.schedule]
-    try:
-        with open(args.schedule) as fh:
-            schedule = schedule_from_json(fh.read())
-    except FileNotFoundError:
-        print(f"error: schedule file {args.schedule!r} not found", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.schedule) as fh:
+        schedule = schedule_from_json(fh.read())
     try:
         params = CircuitParams()
         if args.params:
@@ -304,7 +307,7 @@ def cmd_open_sim(args) -> int:
             target = parse_target(args.target, space=make_space([args.cutoff]))
         if args.wigner_points < 2:
             raise ValueError(f"--wigner-points must be at least 2, got {args.wigner_points}")
-    except (FileNotFoundError, ValueError, TargetParseError) as exc:
+    except (ValueError, TargetParseError) as exc:
         return _usage_error(exc)
     try:
         rho, fid = run_open_protocol(schedule, params, rates,
@@ -395,7 +398,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; remap to this tool's convention
         code = exc.code if exc.code is not None else 0
         return EXIT_USAGE if code not in (0,) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FileNotFoundError as exc:
+        return _missing_input(args, exc)
 
 
 if __name__ == "__main__":

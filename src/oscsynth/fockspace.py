@@ -212,10 +212,16 @@ class WignerGrid:
     values: np.ndarray = field(repr=False)
 
     def integral(self) -> float:
+        """Riemann sum of the samples; each axis needs at least 2 points,
+        evenly spaced to 1e-9 relative."""
         for name, axis in (("x_axis", self.x_axis), ("p_axis", self.p_axis)):
             if len(axis) < 2:
                 raise ValueError(f"{name} has {len(axis)} point(s); "
                                  "integrating needs at least 2")
+            steps = np.diff(axis)
+            if np.abs(steps - steps[0]).max() > 1e-9 * abs(steps[0]):
+                raise ValueError(f"{name} is not evenly spaced; "
+                                 "integrating needs a uniform grid")
         dx = self.x_axis[1] - self.x_axis[0]
         dp = self.p_axis[1] - self.p_axis[0]
         return float(np.sum(self.values) * dx * dp)

@@ -19,14 +19,15 @@ Every step is therefore a set of 2x2 rotations on disjoint (|e>, |g>) index
 pairs. Replays apply steps through the pair-rotation kernel (step_pairs,
 RotationPlan), which costs O(dim) per step and also gives a replay's
 adjoint gradient (RotationPlan.value_and_grad), and compilers turn one
-step's pairs in place with rotate; the dense builders
-(selective_drive_propagator, njc_propagator, step_propagator) are the
+step's pairs in place with rotate; step_propagator, which writes each
+pair's drive_propagator block into a dense matrix, is the one dense
 reference both are tested against.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fockspace import QUBIT_E, QUBIT_G, DimensionError, TruncatedSpace
+from .fockspace import QUBIT_E, QUBIT_G, DimensionError, TruncatedSpace, _ladder_exp
 
 SEMANTICS = ("exact", "ideal-pair")
 
@@ -90,140 +91,61 @@ class PulseStep:
             object.__setattr__(self, "selectivity", tuple(int(l) for l in self.selectivity))
 
 
-def _canonical(area: float, phase: float):
-    """Fold a signed area into (|area|, phase'), adding pi for negative areas."""
-    if area < 0:
-        return -area, phase + math.pi
-    return area, phase
-
-
-def drive_propagator(area: float, phase: float = 0.0) -> np.ndarray:
-    """2x2 resonant qubit drive: cos|A| on the diagonal, -i e^{±i phase} sin|A| off it.
-
-    Basis order (|e>, |g>). Tensor with an oscillator identity to act on a
-    full space (see apply helpers in synthesis).
-    """
-    mag, ph = _canonical(area, phase)
-    c = math.cos(mag)
-    s = math.sin(mag)
-    return np.array(
-        [
-            [c, -1j * np.exp(1j * ph) * s],
-            [-1j * np.exp(-1j * ph) * s, c],
-        ],
-        dtype=complex,
-    )
-
-
-def selective_drive_propagator(
-    space: TruncatedSpace, area: float, phase: float = 0.0, selectivity=None
-) -> np.ndarray:
-    """Qubit drive acting only where the oscillators sit at the selected Fock labels.
-
-    With selectivity None this is the plain drive tensored with identity.
-    Identity on every other Fock basis state, so the result is exactly unitary.
-    """
-    u2 = drive_propagator(area, phase)
-    od = space.osc_dim
-    out = np.eye(space.dim, dtype=complex)
-    if selectivity is None:
-        for o in range(od):
-            _write_qubit_block(out, u2, o, od)
-        return out
-    sel = tuple(int(l) for l in selectivity)
-    if len(sel) != space.n_osc:
-        raise DimensionError("selectivity needs one Fock label per oscillator")
-    flat = 0
-    for l, d in zip(sel, space.osc_cutoffs):
-        if not 0 <= l < d:
-            raise DimensionError(f"selective label {l} outside cutoff {d}")
-        flat = flat * d + l
-    _write_qubit_block(out, u2, flat, od)
-    return out
-
-
-def _write_qubit_block(mat, u2, osc_flat, osc_dim):
-    e = QUBIT_E * osc_dim + osc_flat
-    g = QUBIT_G * osc_dim + osc_flat
-    mat[e, e] = u2[0, 0]
-    mat[e, g] = u2[0, 1]
-    mat[g, e] = u2[1, 0]
-    mat[g, g] = u2[1, 1]
-
-
-def njc_propagator(space: TruncatedSpace, osc_index: int, n: int, area: float,
-                   phase: float = 0.0, selectivity=None) -> np.ndarray:
-    """Order-n exchange propagator exp(-i tau (g sigma+ a^n + h.c.)).
-
-    With selectivity None it rotates every invariant pair {|e,l>, |g,l+n>}
-    by angle |area| * xi(l+n, n); the unpaired states |g,m> (m < n) and
-    |e,l> with l+n >= cutoff stay put, so the matrix is exactly unitary at
-    any cutoff. With a joint Fock label (one entry per oscillator) it
-    rotates only the pair whose |e> side sits at that label (an idealized
-    selective sideband) and is the identity elsewhere.
-    """
-    d = space.osc_cutoffs[osc_index]
-    if not 1 <= n < d:
-        raise DimensionError(f"njc order {n} must satisfy 1 <= n < cutoff {d}")
-    mag, ph = _canonical(area, phase)
-    out = np.eye(space.dim, dtype=complex)
-
-    def write_pair(l, other):
-        theta = mag * xi(l + n, n)
-        c = math.cos(theta)
-        s = math.sin(theta)
-        e_i = _joint_index(space, QUBIT_E, osc_index, l, other)
-        g_i = _joint_index(space, QUBIT_G, osc_index, l + n, other)
-        out[e_i, e_i] = c
-        out[g_i, g_i] = c
-        out[e_i, g_i] = -1j * np.exp(1j * ph) * s
-        out[g_i, e_i] = -1j * np.exp(-1j * ph) * s
-
-    if selectivity is None:
-        for l in range(d - n):
-            for other in _other_osc_indices(space, osc_index):
-                write_pair(l, other)
-        return out
-    labels = tuple(int(l) for l in selectivity)
-    if len(labels) != space.n_osc:
-        raise DimensionError("joint pair label needs one entry per oscillator")
-    l = labels[osc_index]
-    if l + n >= d:
-        raise DimensionError(f"pair level {l}+{n} exceeds cutoff {d}")
-    write_pair(l, labels[:osc_index] + labels[osc_index + 1:])
-    return out
-
-
-def _other_osc_indices(space: TruncatedSpace, osc_index: int):
-    """All Fock label tuples of the oscillators other than osc_index."""
-    dims = [d for i, d in enumerate(space.osc_cutoffs) if i != osc_index]
-    if not dims:
-        return [()]
-    combos = [()]
-    for d in dims:
-        combos = [c + (l,) for c in combos for l in range(d)]
-    return combos
-
-
-def _joint_index(space, qubit_level, osc_index, level, other_labels):
-    labels = []
-    it = iter(other_labels)
-    for i in range(space.n_osc):
-        labels.append(level if i == osc_index else next(it))
-    return space.index(qubit_level, *labels)
+def drive_propagator(area, phase: float = 0.0) -> np.ndarray:
+    """2x2 resonant qubit drive exp(-i area (e^{i phase} sigma+ + h.c.)):
+    cos(area) on the diagonal, -i e^{±i phase} sin(area) off it, in basis
+    order (|e>, |g>). A negated area gives the inverse rotation. An array
+    of areas gives one 2x2 block per area, stacked on the first axis."""
+    off = -1j * np.exp(1j * phase) * np.sin(area)
+    u = np.empty(np.shape(area) + (2, 2), dtype=complex)
+    u[..., 0, 0] = u[..., 1, 1] = np.cos(area)
+    u[..., 0, 1] = off
+    u[..., 1, 0] = -np.conj(off)
+    return u
 
 
 def step_propagator(space: TruncatedSpace, step: PulseStep,
                     semantics: str = "exact") -> np.ndarray:
     """Dense propagator of one step: the reference the pair-rotation kernel
-    is checked against. A drive's label always applies; an njc label only
-    under ideal-pair semantics."""
+    is checked against.
+
+    It walks every joint Fock label once and writes drive_propagator(area *
+    xi(l+n, n), phase) on each pair {|e,l>, |g,l+n>} the step turns (n = 0
+    and l the whole label for a drive), the identity everywhere else, so
+    the result is exactly unitary at any cutoff. A drive's label always
+    applies; an njc label only under ideal-pair semantics. A label that
+    names no pair of the step raises DimensionError.
+    """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
+    label = step.selectivity
     if step.kind == "drive":
-        return selective_drive_propagator(space, step.area, step.phase, step.selectivity)
-    label = step.selectivity if semantics == "ideal-pair" else None
-    return njc_propagator(space, step.osc_index, step.order, step.area, step.phase, label)
+        osc, n = 0, 0
+    else:
+        osc, n = step.osc_index, step.order
+        if not 1 <= n < space.osc_cutoffs[osc]:
+            raise DimensionError(
+                f"njc order {n} must satisfy 1 <= n < cutoff {space.osc_cutoffs[osc]}")
+        if semantics == "exact":
+            label = None
+    d = space.osc_cutoffs[osc]
+    od = space.osc_dim
+    shift = n * od // math.prod(space.osc_cutoffs[: osc + 1])
+    flat, levels = [], []
+    for i, labels in enumerate(itertools.product(*map(range, space.osc_cutoffs))):
+        if labels[osc] < d - n and label in (None, labels):
+            flat.append(i)
+            levels.append(labels[osc])
+    if not flat:
+        raise DimensionError(f"label {label} names no pair of this step "
+                             f"in cutoffs {space.osc_cutoffs}")
+    flat = np.array(flat)
+    pairs = np.stack([QUBIT_E * od + flat, QUBIT_G * od + flat + shift], axis=1)
+    weight = {l: xi(l + n, n) for l in set(levels)}
+    out = np.eye(space.dim, dtype=complex)
+    out[pairs[:, :, None], pairs[:, None, :]] = drive_propagator(
+        step.area * np.array([weight[l] for l in levels]), step.phase)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +396,6 @@ def _hadamard(space: TruncatedSpace) -> np.ndarray:
     return np.kron(h, np.eye(space.osc_dim, dtype=complex))
 
 
-def _rx_pi(space: TruncatedSpace) -> np.ndarray:
-    # exp(-i (pi/2) sigma_x) = -i sigma_x
-    rx = np.array([[0, -1j], [-1j, 0]], dtype=complex)
-    return np.kron(rx, np.eye(space.osc_dim, dtype=complex))
-
-
 def conditional_squeezing_via_sidebands(space: TruncatedSpace, n: int, area: float) -> np.ndarray:
     """Compose H Rx(pi) Q(area) Rx(pi) Q(area) H from primitives.
 
@@ -489,26 +405,20 @@ def conditional_squeezing_via_sidebands(space: TruncatedSpace, n: int, area: flo
     pulses. The identity is exact only in the small-area limit; callers
     wanting equality to a tolerance should keep |area| modest.
     """
-    q = njc_propagator(space, 0, n, area, 0.0)
+    q = step_propagator(space, PulseStep("njc", area, osc_index=0, order=n))
     h = _hadamard(space)
-    rx = _rx_pi(space)
+    # exp(-i (pi/2) sigma_x) = -i sigma_x
+    rx = step_propagator(space, PulseStep("drive", math.pi / 2))
     return h @ rx @ q @ rx @ q @ h
 
 
 def conditional_phase_space_gate(space: TruncatedSpace, n: int, zeta: complex) -> np.ndarray:
-    """Direct construction |g><g| S_n(zeta) + |e><e| S_n(-zeta) (oracle form)."""
-    from .fockspace import squeezing
-
-    sp = squeezing(space, 0, n, zeta)
-    sm = squeezing(space, 0, n, -zeta)
+    """Direct construction |g><g| S_n(zeta) + |e><e| S_n(-zeta) on
+    oscillator 0 (oracle form)."""
+    d = space.osc_cutoffs[0]
+    rest = np.eye(space.osc_dim // d)
     od = space.osc_dim
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    out[od:, od:] = _osc_block(sp, od)
-    out[:od, :od] = _osc_block(sm, od)
+    out[od:, od:] = np.kron(_ladder_exp(d, n, zeta), rest)
+    out[:od, :od] = np.kron(_ladder_exp(d, n, -zeta), rest)
     return out
-
-
-def _osc_block(full_op: np.ndarray, osc_dim: int) -> np.ndarray:
-    # operators from fockspace embed as identity on the qubit; both qubit
-    # blocks carry the same oscillator factor, take the |e> block
-    return full_op[:osc_dim, :osc_dim]

@@ -24,6 +24,7 @@ single PASS line when its assertions hold:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from oscsynth.gates import (
     PulseStep,
     conditional_phase_space_gate,
     conditional_squeezing_via_sidebands,
-    njc_propagator,
-    selective_drive_propagator,
     step_propagator,
     xi,
 )
@@ -333,10 +332,12 @@ def test_criterion_7_property_suite():
         area = rng.uniform(-3, 3)
         phase = rng.uniform(-math.pi, math.pi)
         order = int(rng.integers(1, 4))
+        njc = PulseStep("njc", area, phase, osc_index=0, order=order)
         for u in (
-            selective_drive_propagator(space, area, phase),
-            njc_propagator(space, 0, order, area, phase),
-            njc_propagator(space, 0, order, area, phase, (int(rng.integers(0, 6)),)),
+            step_propagator(space, PulseStep("drive", area, phase)),
+            step_propagator(space, njc),
+            step_propagator(space, replace(njc, selectivity=(int(rng.integers(0, 6)),)),
+                            "ideal-pair"),
         ):
             assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-10
 

@@ -240,6 +240,31 @@ def test_missing_budget_file_exits_one(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("synthesize", "--budget"),
+    ("plan", "--target"),
+    ("open-sim", "--schedule"),
+    ("open-sim", "--params"),
+    ("open-sim", "--rates"),
+    ("open-sim", "--target"),
+])
+def test_missing_input_file_exits_one_naming_it(tmp_path, capsys, command, flag):
+    missing = str(tmp_path / "missing.cfg")
+    sched_path = tmp_path / "s.json"
+    assert main(["synthesize", "--target", "fock:0", "--order", "1",
+                 "--out", str(sched_path)]) == 0
+    out = tmp_path / "out.csv"
+    given = {"--target": "fock:0,1", "--order": "1", "--cutoff": "4", "--out": str(out)}
+    if command == "open-sim":
+        given = {"--schedule": str(sched_path), "--cutoff": "4", "--out": str(out)}
+    given[flag] = "amps:" + missing if flag == "--target" else missing
+    capsys.readouterr()
+    assert main([command, *(word for item in given.items() for word in item)]) == 1
+    what = flag[2:]
+    assert capsys.readouterr().err == f"error: {what} file {missing!r} not found\n"
+    assert not out.exists()
+
+
 def test_open_sim_drive_only_schedule(tmp_path, capsys):
     # synthesize a trivial drive-only schedule, then replay it dissipatively
     sched_path = tmp_path / "s.json"

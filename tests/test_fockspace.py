@@ -254,6 +254,20 @@ def test_wigner_integral_needs_two_points_on_each_axis(axis):
         grid.integral()
 
 
+@pytest.mark.parametrize("axis", ["x_axis", "p_axis"])
+def test_wigner_integral_rejects_an_uneven_axis(axis):
+    # 11 points over [-5, 0] then 100 over [0.1, 5]: the first spacing
+    # alone made the vacuum integrate to 27.7
+    uneven = np.concatenate([np.linspace(-5.0, 0.0, 11), np.linspace(0.1, 5.0, 100)])
+    axes = {"x_axis": np.linspace(-5.0, 5.0, 81), "p_axis": np.linspace(-5.0, 5.0, 81)}
+    vacuum = wigner(np.array([1.0, 0.0]), axes["x_axis"], axes["p_axis"])
+    assert vacuum.integral() == pytest.approx(1.0, abs=1e-6)
+    axes[axis] = uneven
+    grid = wigner(np.array([1.0, 0.0]), axes["x_axis"], axes["p_axis"])
+    with pytest.raises(ValueError, match=f"{axis} is not evenly spaced"):
+        grid.integral()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.floats(min_value=-1.2, max_value=1.2, allow_nan=False),

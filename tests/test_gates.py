@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from oscsynth.fockspace import QUBIT_E, QUBIT_G, DimensionError, fidelity, make_space
+from oscsynth.fockspace import (QUBIT_E, QUBIT_G, DimensionError, fidelity, ladder_power,
+                                make_space)
 from oscsynth.gates import (
     DispersiveModel,
     PulseStep,
@@ -17,9 +19,7 @@ from oscsynth.gates import (
     conditional_phase_space_gate,
     conditional_squeezing_via_sidebands,
     drive_propagator,
-    njc_propagator,
     selective_drive_frequency,
-    selective_drive_propagator,
     shift_coefficient,
     step_propagator,
     stirling_first,
@@ -68,7 +68,7 @@ def test_drive_unitary(area, phase):
 def test_njc_pair_mixing_angle():
     sp = make_space([20])
     n, area, phase, l = 2, 0.07, 0.4, 3
-    u = njc_propagator(sp, 0, n, area, phase)
+    u = step_propagator(sp, PulseStep("njc", area, phase, osc_index=0, order=n))
     theta = area * xi(l + n, n)
     ie = sp.index(QUBIT_E, l)
     ig = sp.index(QUBIT_G, l + n)
@@ -90,13 +90,14 @@ def test_njc_pair_mixing_angle():
 )
 def test_njc_unitary(n, area, phase):
     sp = make_space([12])
-    u = njc_propagator(sp, 0, n, area, phase)
+    u = step_propagator(sp, PulseStep("njc", area, phase, osc_index=0, order=n))
     assert np.allclose(u @ u.conj().T, np.eye(sp.dim), atol=1e-12)
 
 
 def test_njc_ideal_pair_acts_on_one_pair_only():
     sp = make_space([12])
-    u = njc_propagator(sp, 0, 2, 0.3, 0.0, (1,))
+    u = step_propagator(sp, PulseStep("njc", 0.3, osc_index=0, order=2, selectivity=(1,)),
+                        "ideal-pair")
     # the {|e,1>, |g,3>} pair mixes, everything else is identity
     touched = {sp.index(QUBIT_E, 1), sp.index(QUBIT_G, 3)}
     for i in range(sp.dim):
@@ -109,7 +110,7 @@ def test_njc_ideal_pair_acts_on_one_pair_only():
 
 def test_selective_drive_is_identity_elsewhere():
     sp = make_space([6])
-    u = selective_drive_propagator(sp, 0.5, 0.1, selectivity=(2,))
+    u = step_propagator(sp, PulseStep("drive", 0.5, 0.1, selectivity=(2,)))
     for l in range(6):
         if l == 2:
             continue
@@ -126,15 +127,14 @@ def test_selective_drive_is_identity_elsewhere():
 
 def test_selective_drive_joint_labels():
     sp = make_space([3, 4])
-    u = selective_drive_propagator(sp, math.pi / 2, 0.0, selectivity=(1, 2))
+    u = step_propagator(sp, PulseStep("drive", math.pi / 2, selectivity=(1, 2)))
     v = u @ sp.basis_state(QUBIT_G, 1, 2)
     assert abs(v[sp.index(QUBIT_E, 1, 2)]) == pytest.approx(1.0)
     w = u @ sp.basis_state(QUBIT_G, 1, 3)
     assert w[sp.index(QUBIT_G, 1, 3)] == pytest.approx(1.0)
-    with pytest.raises(DimensionError):
-        selective_drive_propagator(sp, 0.1, 0.0, selectivity=(1,))
-    with pytest.raises(DimensionError):
-        selective_drive_propagator(sp, 0.1, 0.0, selectivity=(1, 9))
+    for label in ((1,), (1, 9)):
+        with pytest.raises(DimensionError):
+            step_propagator(sp, PulseStep("drive", 0.1, selectivity=label))
 
 
 def test_pulse_step_validation():
@@ -151,23 +151,6 @@ def test_pulse_step_validation():
     for extra in (dict(osc_index=0), dict(order=2)):
         with pytest.raises(ValueError, match="drive steps take no order or oscillator index"):
             PulseStep(kind="drive", area=0.1, **extra)
-
-
-def test_step_propagator_matches_primitives():
-    sp = make_space([8])
-    s1 = PulseStep(kind="drive", area=0.4, phase=0.3, selectivity=(2,))
-    assert np.allclose(step_propagator(sp, s1),
-                       selective_drive_propagator(sp, 0.4, 0.3, selectivity=(2,)))
-    s2 = PulseStep(kind="njc", area=0.2, phase=0.1, osc_index=0, order=2)
-    assert np.allclose(step_propagator(sp, s2),
-                       njc_propagator(sp, 0, 2, 0.2, 0.1))
-    # a drive's label always applies, an njc label only under ideal-pair semantics
-    s3 = PulseStep(kind="njc", area=0.2, phase=0.1, osc_index=0, order=2, selectivity=(1,))
-    for semantics, label in (("exact", None), ("ideal-pair", (1,))):
-        assert np.array_equal(step_propagator(sp, s1, semantics),
-                              selective_drive_propagator(sp, 0.4, 0.3, selectivity=(2,)))
-        assert np.array_equal(step_propagator(sp, s3, semantics),
-                              njc_propagator(sp, 0, 2, 0.2, 0.1, label))
 
 
 KERNEL_SPACES = [(4,), (9,), (40,), (8, 8), (5, 7)]
@@ -196,6 +179,42 @@ def _kernel_cases(sp, rng):
                 cases.append((replace(step, selectivity=joint), "ideal-pair"))
                 cases.append((replace(step, selectivity=joint), "exact"))
     return cases
+
+
+def _generator(sp, step, semantics):
+    """The step's Hamiltonian e^{i phase} sigma+ (x) a^n + h.c. (a^0 = 1 for
+    a drive), projected onto the label of a drive and onto the one pair of
+    a labelled njc step under ideal-pair semantics."""
+    osc, n = (0, 0) if step.kind == "drive" else (step.osc_index, step.order)
+    sigma_plus = np.kron([[0, 1], [0, 0]], np.eye(sp.osc_dim))  # |e><g|
+    an = ladder_power(sp, osc, n) if n else np.eye(sp.dim)
+    h = np.exp(1j * step.phase) * sigma_plus @ an
+    h = h + h.conj().T
+    label = step.selectivity
+    if label is None or (step.kind == "njc" and semantics == "exact"):
+        return h
+    top = list(label)
+    top[osc] += n
+    keep = [sp.index(QUBIT_E, *label), sp.index(QUBIT_G, *top)]
+    proj = np.zeros(sp.dim)
+    proj[keep] = 1.0
+    return proj[:, None] * h * proj[None, :]
+
+
+@pytest.mark.parametrize("cutoffs", [(9,), (5, 6)], ids=str)
+@pytest.mark.parametrize("semantics", ["exact", "ideal-pair"])
+def test_step_propagator_matches_hamiltonian_exponential(cutoffs, semantics):
+    sp = make_space(cutoffs)
+    rng = np.random.default_rng(3 * sum(cutoffs))
+    forms = set()
+    for step, _ in _kernel_cases(sp, rng):
+        if step.kind == "njc" and step.order > 3:
+            continue
+        forms.add((step.kind, step.order, step.selectivity is not None, step.area > 0))
+        ref = expm(-1j * step.area * _generator(sp, step, semantics))
+        assert np.abs(step_propagator(sp, step, semantics) - ref).max() < 1e-12, step
+    # plain and labelled drives and njc steps at orders 1-3, areas of both signs
+    assert len(forms) == 2 * (2 + 2 * 3)
 
 
 @pytest.mark.parametrize("cutoffs", KERNEL_SPACES, ids=str)
@@ -356,11 +375,12 @@ def test_dispersive_model_chi():
     assert m1.chi == pytest.approx((TWO_PI * 30e6) ** 2 / delta)
     m2 = DispersiveModel(order=2, omega_q=TWO_PI * 10e9, omega_o=TWO_PI * 4.9e9,
                          g=TWO_PI * 25e6)
-    assert m2.chi == pytest.approx(TWO_PI * 25e6 / (TWO_PI * 0.2e9))
+    with pytest.warns(UserWarning, match="outside the dispersive regime"):
+        assert m2.chi == pytest.approx(TWO_PI * 25e6 / (TWO_PI * 0.2e9))
     with pytest.raises(ZeroDivisionError):
         DispersiveModel(order=2, omega_q=2.0, omega_o=1.0, g=0.1).chi
     bad = DispersiveModel(order=2, omega_q=2.0, omega_o=0.9, g=0.1)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="outside the dispersive regime"):
         bad.chi
 
 
@@ -371,9 +391,11 @@ def test_selective_drive_frequency_single_and_joint():
     assert f3 == pytest.approx(m.omega_q + m.chi * (1 + 2 * 3))
     m2 = DispersiveModel(order=2, omega_q=TWO_PI * 10e9, omega_o=TWO_PI * 4.9e9,
                          g=TWO_PI * 25e6)
-    fj = selective_drive_frequency([m, m2], [3, 1])
     shift2 = sum(shift_coefficient(2, k) * 1**k for k in range(3))
-    assert fj == pytest.approx(m.omega_q + m.chi * 7 + m2.chi * shift2)
+    with pytest.warns(UserWarning, match="outside the dispersive regime"):
+        fj = selective_drive_frequency([m, m2], [3, 1])
+    with pytest.warns(UserWarning, match="outside the dispersive regime"):
+        assert fj == pytest.approx(m.omega_q + m.chi * 7 + m2.chi * shift2)
     with pytest.raises(DimensionError):
         selective_drive_frequency([m, m2], [3])
 

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 
 from oscsynth import opensystem
 from oscsynth.fockspace import QUBIT_E, QUBIT_G, DimensionError, _single_ladder, make_space
-from oscsynth.gates import PulseStep, njc_propagator
+from oscsynth.gates import PulseStep, step_propagator
 from oscsynth.opensystem import (
     CircuitParams,
     IntegrationError,
@@ -307,7 +307,7 @@ def test_exchange_only_model_approximates_ideal_swap():
     p_g2 = rho[d + 2, d + 2].real
     assert p_g2 > 0.999
     sp = make_space([d])
-    u = njc_propagator(sp, 0, 2, area, 0.0)
+    u = step_propagator(sp, PulseStep("njc", area, osc_index=0, order=2))
     ideal = u @ sp.basis_state(QUBIT_E, 0)
     assert abs(ideal[sp.index(QUBIT_G, 2)]) == pytest.approx(1.0, abs=1e-12)
 
