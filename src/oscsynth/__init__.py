@@ -65,7 +65,6 @@ from .opensystem import (
     NoiseRates,
     lindblad_evolve,
     run_open_protocol,
-    wigner_comparison,
 )
 
 __version__ = "0.1.0"

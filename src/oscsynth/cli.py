@@ -3,9 +3,13 @@
 Subcommands wrap the library modules: `synthesize` compiles a target into
 a schedule JSON, `plan` prints the punch-card step/time analysis,
 `estimate` tabulates preparation-time formulas, and `open-sim` replays a
-schedule on the dissipative circuit model. Every run writes a manifest
-next to its primary output so results can be traced back to their exact
-inputs; identical invocations produce byte-identical outputs.
+schedule on the dissipative circuit model; `plan` and `estimate` write
+to --out when it is given, else to stdout. `main` holds the policy every
+run shares: it checks each output directory before any work, maps errors
+to exit codes with one `error:` line, and writes a manifest next to --out
+that digests every input file. Subcommands write their outputs last, so
+a failed run leaves no file; identical invocations produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -14,22 +18,22 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, opensystem
 from .fockspace import make_space, ptrace_qubit, wigner
 from .multiosc import ftp_two_oscillator
-from .opensystem import _read_kv_file
 from .planner import (base_step_count, punch_card, scaling_table, scaling_table_csv,
                       steps_arbitrary, time_ftp, time_le, time_symmetric,
                       two_oscillator_plan)
 from .synthesis import (DEFAULT_G, DEFAULT_OMEGA, CouplingBudget,
                         ftp_schedule, invert_symmetric, replay_fidelity,
                         schedule_from_json, schedule_to_json)
-from .targets import TargetParseError, parse_target
+from .targets import parse_target
 
 TWOPI = 2.0 * math.pi
 
@@ -37,6 +41,24 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_QUALITY = 2
 EXIT_INTEGRATION = 3
+
+# Arguments that name files a run reads (a target names one as
+# amps:<file>) and files it writes.
+INPUT_ARGS = ("budget", "schedule", "params", "rates", "target")
+OUTPUT_ARGS = ("out", "wigner")
+
+
+def _input_files(args) -> dict:
+    """{argument name: path} of each input file the run names."""
+    files = {}
+    for name in INPUT_ARGS:
+        path = getattr(args, name, None)
+        if name == "target" and path:
+            head, _, body = path.strip().partition(":")
+            path = body.strip() if head.strip().lower() == "amps" else None
+        if path:
+            files[name] = path
+    return files
 
 
 def _sha256(path) -> str:
@@ -47,22 +69,21 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_path, command, args_dict, inputs, outputs, started):
-    """Emit the run manifest next to the primary output."""
+def write_manifest(args, started) -> None:
+    """Emit the run manifest next to --out."""
     manifest = {
-        "command": command,
-        "arguments": {k: v for k, v in sorted(args_dict.items())
+        "command": args.subcommand,
+        "arguments": {k: v for k, v in sorted(vars(args).items())
                       if not k.startswith("_") and k != "func"},
-        "input_digests": {str(p): _sha256(p) for p in inputs},
+        "input_digests": {p: _sha256(p) for p in _input_files(args).values()},
         "tool_version": __version__,
-        "outputs": [str(p) for p in outputs],
+        "outputs": [getattr(args, n) for n in OUTPUT_ARGS if getattr(args, n, None)],
         "wall_seconds": round(time.time() - started, 3),
     }
-    path = str(out_path) + ".manifest.json"
+    path = str(args.out) + ".manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
-    return path
 
 
 def parse_budget_file(path) -> CouplingBudget:
@@ -74,7 +95,7 @@ def parse_budget_file(path) -> CouplingBudget:
     """
     omega = None
     g = {}
-    for key, val in _read_kv_file(path).items():
+    for key, val in opensystem._read_kv_file(path).items():
         if val.endswith("*2pi"):
             value = float(val[:-4].strip()) * TWOPI
         elif key.endswith("_radps"):
@@ -109,16 +130,35 @@ def _usage_error(exc: Exception) -> int:
 
 
 def _missing_input(args, exc: FileNotFoundError) -> int:
-    """Report an input file that does not exist, named by its argument (a
-    target's file is the path of its amps:<file> spec), and return the
-    usage exit code. A missing file that is no input is re-raised."""
-    for name in ("budget", "schedule", "params", "rates", "target"):
-        path = getattr(args, name, None) or ""
-        if name == "target":
-            path = path.partition(":")[2].strip()
+    """Report an input file that does not exist, named by its argument, and
+    return the usage exit code. A missing file that is no input is
+    re-raised."""
+    for name, path in _input_files(args).items():
         if path == exc.filename:
             return _usage_error(ValueError(f"{name} file {path!r} not found"))
     raise exc
+
+
+def _load_schedule(path):
+    """The --schedule file's schedule; a file that is not a schedule JSON
+    raises ValueError naming it."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return schedule_from_json(text)
+    except KeyError as exc:
+        raise ValueError(f"schedule file {path!r} has no {exc.args[0]!r} field") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"schedule file {path!r}: {exc}") from None
+
+
+def _write_text(text: str, out) -> None:
+    """A report's text, to the file out when it is given, else to stdout."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_order(text: str, two_osc: bool):
@@ -155,32 +195,26 @@ def _angular(text: str) -> float:
 
 
 def cmd_synthesize(args) -> int:
-    started = time.time()
-    inputs = [args.budget] if args.budget else []
-    try:
-        budget = _load_budget(args.budget)
-        order = _parse_order(args.order, args.two_osc)
-        if args.two_osc:
-            space = make_space((args.cutoff, args.cutoff))
-            target = parse_target(args.target, space=space)
-            schedule = ftp_two_oscillator(target, order, budget=budget, space=space)
+    budget = _load_budget(args.budget)
+    order = _parse_order(args.order, args.two_osc)
+    if args.two_osc:
+        space = make_space((args.cutoff, args.cutoff))
+        target = parse_target(args.target, space=space)
+        schedule = ftp_two_oscillator(target, order, budget=budget, space=space)
+    else:
+        space = make_space([args.cutoff])
+        target = parse_target(args.target, space=space)
+        if args.ftp:
+            schedule = ftp_schedule(target, order, budget=budget, space=space)
         else:
-            space = make_space([args.cutoff])
-            target = parse_target(args.target, space=space)
-            if args.ftp:
-                schedule = ftp_schedule(target, order, budget=budget, space=space)
-            else:
-                schedule = invert_symmetric(target, order, space=space, budget=budget)
-        if args.semantics:
-            schedule.semantics = "ideal-pair" if args.semantics == "ideal" else "exact"
-            schedule.fidelity = replay_fidelity(schedule, target)
-        # serialized before --out is opened, so a failure leaves no file
-        text = schedule_to_json(schedule)
-    except (TargetParseError, ValueError, RuntimeError, KeyError) as exc:
-        return _usage_error(exc)
+            schedule = invert_symmetric(target, order, space=space, budget=budget)
+    if args.semantics:
+        schedule.semantics = "ideal-pair" if args.semantics == "ideal" else "exact"
+        schedule.fidelity = replay_fidelity(schedule, target)
+    # serialized before --out is opened, so a failure leaves no file
+    text = schedule_to_json(schedule)
     with open(args.out, "w") as fh:
         fh.write(text)
-    write_manifest(args.out, "synthesize", vars(args), inputs, [args.out], started)
     fid = schedule.fidelity if schedule.fidelity is not None else 0.0
     dur = schedule.duration
     print(f"steps: {len(schedule.steps)}  fidelity: {fid:.10f}"
@@ -193,49 +227,40 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    started = time.time()
-    try:
-        budget = _load_budget(args.budget)
-        order = _parse_order(args.order, args.two_osc)
-        if args.two_osc:
-            cutoff = args.cutoff
-            space = make_space((cutoff, cutoff))
-            target = parse_target(args.target, space=space)
-            steps, t_ftp = two_oscillator_plan(target, order, budget)
-            lin_steps, t_lin = two_oscillator_plan(target, (1, 1), budget)
-            lines = [
-                f"orders: {order}",
-                f"steps: {steps} (linear protocol: {lin_steps})",
-                f"T_FTP: {t_ftp * 1e9:.2f} ns (linear: {t_lin * 1e9:.2f} ns)",
-            ]
-            if args.csv:
-                print("n1,n2,steps,steps_linear,T_ftp_ns,T_linear_ns")
-                print(f"{order[0]},{order[1]},{steps},{lin_steps},"
-                      f"{t_ftp * 1e9:.12g},{t_lin * 1e9:.12g}")
-            else:
-                print("\n".join(lines))
+    budget = _load_budget(args.budget)
+    order = _parse_order(args.order, args.two_osc)
+    if args.two_osc:
+        space = make_space((args.cutoff, args.cutoff))
+        target = parse_target(args.target, space=space)
+        steps, t_ftp = two_oscillator_plan(target, order, budget)
+        lin_steps, t_lin = two_oscillator_plan(target, (1, 1), budget)
+        if args.csv:
+            lines = ["n1,n2,steps,steps_linear,T_ftp_ns,T_linear_ns",
+                     f"{order[0]},{order[1]},{steps},{lin_steps},"
+                     f"{t_ftp * 1e9:.12g},{t_lin * 1e9:.12g}"]
         else:
-            space = make_space([args.cutoff])
-            target = parse_target(args.target, space=space)
-            card = punch_card(target, order)
-            n_arb, k_arb = steps_arbitrary(card)
-            t_ftp = time_ftp(card, budget)
-            t_lin = time_le(target.max_index, budget)
-            if args.csv:
-                print("n,heights,N_arb,K_arb,T_ftp_ns,T_le_ns")
-                hs = ";".join(str(h) for h in card.heights)
-                print(f"{order},{hs},{n_arb},{k_arb},"
-                      f"{t_ftp * 1e9:.12g},{t_lin * 1e9:.12g}")
-            else:
-                print(card.render())
-                print(f"heights: {card.heights}")
-                print(f"steps: {base_step_count(order)}+{sum(card.heights)}"
-                      f" = {n_arb} (upper bound {k_arb})")
-                print(f"T_FTP: {t_ftp * 1e9:.2f} ns   T_LE: {t_lin * 1e9:.2f} ns")
-    except (TargetParseError, ValueError, KeyError) as exc:
-        return _usage_error(exc)
-    if args.out:
-        write_manifest(args.out, "plan", vars(args), [], [args.out], started)
+            lines = [f"orders: {order}",
+                     f"steps: {steps} (linear protocol: {lin_steps})",
+                     f"T_FTP: {t_ftp * 1e9:.2f} ns (linear: {t_lin * 1e9:.2f} ns)"]
+    else:
+        space = make_space([args.cutoff])
+        target = parse_target(args.target, space=space)
+        card = punch_card(target, order)
+        n_arb, k_arb = steps_arbitrary(card)
+        t_ftp = time_ftp(card, budget)
+        t_lin = time_le(target.max_index, budget)
+        if args.csv:
+            hs = ";".join(str(h) for h in card.heights)
+            lines = ["n,heights,N_arb,K_arb,T_ftp_ns,T_le_ns",
+                     f"{order},{hs},{n_arb},{k_arb},"
+                     f"{t_ftp * 1e9:.12g},{t_lin * 1e9:.12g}"]
+        else:
+            lines = [card.render(),
+                     f"heights: {card.heights}",
+                     f"steps: {base_step_count(order)}+{sum(card.heights)}"
+                     f" = {n_arb} (upper bound {k_arb})",
+                     f"T_FTP: {t_ftp * 1e9:.2f} ns   T_LE: {t_lin * 1e9:.2f} ns"]
+    _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -244,40 +269,23 @@ def cmd_plan(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    started = time.time()
-    try:
-        if args.mode == "symmetric":
-            budget = CouplingBudget(omega=args.omega, g={args.n: args.g})
-            t = time_symmetric(args.K, args.n, budget)
-            text = f"K,n,omega_radps,g_radps,T_ns\n{args.K},{args.n}," \
-                   f"{args.omega:.12g},{args.g:.12g},{t * 1e9:.12g}\n"
-        elif args.mode in ("figure2", "figure5"):
-            g1 = TWOPI * 100e6
-            if args.mode == "figure2":
-                omegas = (TWOPI * 25e6, TWOPI * 200e6)
-                variants = {1: (g1,), 2: (g1 / 4, g1 / 8)}
-            else:
-                omegas = (TWOPI * 25e6, TWOPI * 200e6)
-                variants = {1: (g1,), 3: (g1 / 20, g1 / 40),
-                            4: (g1 / 200, g1 / 400)}
-            budgets = []
-            for om in omegas:
-                for n, gs in variants.items():
-                    for g in gs:
-                        budgets.append(CouplingBudget(omega=om, g={n: g}))
-            rows = scaling_table(sorted(variants), budgets, range(1, args.K + 1))
-            text = scaling_table_csv(rows)
-        else:
-            print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
-            return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
-        return _usage_error(exc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        write_manifest(args.out, "estimate", vars(args), [], [args.out], started)
+    if args.mode == "symmetric":
+        budget = CouplingBudget(omega=args.omega, g={args.n: args.g})
+        t = time_symmetric(args.K, args.n, budget)
+        text = f"K,n,omega_radps,g_radps,T_ns\n{args.K},{args.n}," \
+               f"{args.omega:.12g},{args.g:.12g},{t * 1e9:.12g}\n"
     else:
-        sys.stdout.write(text)
+        g1 = TWOPI * 100e6
+        if args.mode == "figure2":
+            variants = {1: (g1,), 2: (g1 / 4, g1 / 8)}
+        else:
+            variants = {1: (g1,), 3: (g1 / 20, g1 / 40), 4: (g1 / 200, g1 / 400)}
+        budgets = [CouplingBudget(omega=om, g={n: g})
+                   for om in (TWOPI * 25e6, TWOPI * 200e6)
+                   for n, gs in variants.items() for g in gs]
+        rows = scaling_table(sorted(variants), budgets, range(1, args.K + 1))
+        text = scaling_table_csv(rows)
+    _write_text(text, args.out)
     return EXIT_OK
 
 
@@ -286,46 +294,24 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_open_sim(args) -> int:
-    started = time.time()
-    from .opensystem import (CircuitParams, IntegrationError, NoiseRates,
-                             density_matrix_to_csv, load_params, load_rates,
-                             run_open_protocol)
-    inputs = [args.schedule]
-    with open(args.schedule) as fh:
-        schedule = schedule_from_json(fh.read())
-    try:
-        params = CircuitParams()
-        if args.params:
-            params = load_params(args.params)
-            inputs.append(args.params)
-        rates = NoiseRates()
-        if args.rates:
-            rates = load_rates(args.rates)
-            inputs.append(args.rates)
-        target = None
-        if args.target:
-            target = parse_target(args.target, space=make_space([args.cutoff]))
-        if args.wigner_points < 2:
-            raise ValueError(f"--wigner-points must be at least 2, got {args.wigner_points}")
-    except (ValueError, TargetParseError) as exc:
-        return _usage_error(exc)
-    try:
-        rho, fid = run_open_protocol(schedule, params, rates,
-                                     cutoff=args.cutoff, target=target)
-        outputs = [args.out]
-        with open(args.out, "w") as fh:
-            fh.write(density_matrix_to_csv(rho))
-        if args.wigner:
-            xs = np.linspace(-4, 4, args.wigner_points)
-            rho_osc = ptrace_qubit(make_space([args.cutoff]), rho)
-            wigner(rho_osc, xs, xs).to_csv(args.wigner)
-            outputs.append(args.wigner)
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
-    except (ValueError, RuntimeError) as exc:
-        return _usage_error(exc)
-    write_manifest(args.out, "open-sim", vars(args), inputs, outputs, started)
+    schedule = _load_schedule(args.schedule)
+    params = opensystem.load_params(args.params) if args.params else opensystem.CircuitParams()
+    rates = opensystem.load_rates(args.rates) if args.rates else opensystem.NoiseRates()
+    target = None
+    if args.target:
+        target = parse_target(args.target, space=make_space([args.cutoff]))
+    if args.wigner_points < 2:
+        raise ValueError(f"--wigner-points must be at least 2, got {args.wigner_points}")
+    rho, fid = opensystem.run_open_protocol(schedule, params, rates,
+                                            cutoff=args.cutoff, target=target)
+    grid = None
+    if args.wigner:
+        xs = np.linspace(-4, 4, args.wigner_points)
+        grid = wigner(ptrace_qubit(make_space([args.cutoff]), rho), xs, xs)
+    with open(args.out, "w") as fh:
+        fh.write(opensystem.density_matrix_to_csv(rho))
+    if grid is not None:
+        grid.to_csv(args.wigner)
     if fid is not None:
         print(f"fidelity: {fid:.8f}")
     return EXIT_OK
@@ -391,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.time()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -398,10 +385,24 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; remap to this tool's convention
         code = exc.code if exc.code is not None else 0
         return EXIT_USAGE if code not in (0,) else 0
+    for name in OUTPUT_ARGS:
+        path = getattr(args, name, None)
+        directory = os.path.dirname(path) if path else ""
+        if directory and not os.path.isdir(directory):
+            return _usage_error(ValueError(
+                f"{name} file {path!r}: directory {directory!r} not found"))
     try:
-        return args.func(args)
+        code = args.func(args)
+    except opensystem.IntegrationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTEGRATION
     except FileNotFoundError as exc:
         return _missing_input(args, exc)
+    except (ValueError, KeyError, RuntimeError) as exc:
+        return _usage_error(exc)
+    if args.out:
+        write_manifest(args, started)
+    return code
 
 
 if __name__ == "__main__":

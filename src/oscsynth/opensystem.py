@@ -38,11 +38,11 @@ RK45; it is the oracle both replays are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .fockspace import QUBIT_E, QUBIT_G, _single_ladder, fidelity, make_space, wigner
+from .fockspace import QUBIT_E, QUBIT_G, _single_ladder, fidelity, make_space
 from .synthesis import _load_target
 
 TWOPI = 2.0 * math.pi
@@ -63,10 +63,9 @@ class CircuitParams:
     g_c: float = TWOPI * 30e6
 
     def __post_init__(self):
-        for name in ("omega_q", "omega_o", "g2", "g_e1", "g_e2", "g_e3",
-                     "g_e4", "g_e5", "g_c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,9 @@ class NoiseRates:
     gamma_o_phi: float = 110e3
 
     def __post_init__(self):
-        for name in ("gamma_q_r", "gamma_o_r", "gamma_q_phi", "gamma_o_phi"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and non-negative")
 
 
 class IntegrationError(RuntimeError):
@@ -96,15 +95,7 @@ class IntegrationError(RuntimeError):
 # key = value config files
 
 
-_PARAM_KEYS = {
-    "omega_q": "omega_q", "omega_o": "omega_o", "g_2": "g2", "g2": "g2",
-    "g_e1": "g_e1", "g_e2": "g_e2", "g_e3": "g_e3", "g_e4": "g_e4",
-    "g_e5": "g_e5", "g_c": "g_c",
-}
-_RATE_KEYS = {
-    "gamma_q_r": "gamma_q_r", "gamma_o_r": "gamma_o_r",
-    "gamma_q_phi": "gamma_q_phi", "gamma_o_phi": "gamma_o_phi",
-}
+_PARAM_KEYS = {"g_2": "g2"}  # config-file aliases of CircuitParams fields
 _UNIT = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 
@@ -144,10 +135,11 @@ def load_params(path) -> CircuitParams:
     kw = {}
     for key, val in _read_kv_file(path).items():
         base, scale = _split_unit(key)
-        if base not in _PARAM_KEYS:
+        base = _PARAM_KEYS.get(base, base)
+        if base not in {f.name for f in fields(CircuitParams)}:
             raise ValueError(f"unknown circuit parameter {key!r}")
         val = float(val)
-        kw[_PARAM_KEYS[base]] = val * scale * TWOPI if scale is not None else val
+        kw[base] = val * scale * TWOPI if scale is not None else val
     return CircuitParams(**kw)
 
 
@@ -157,9 +149,9 @@ def load_rates(path) -> NoiseRates:
     kw = {}
     for key, val in _read_kv_file(path).items():
         base, scale = _split_unit(key)
-        if base not in _RATE_KEYS:
+        if base not in {f.name for f in fields(NoiseRates)}:
             raise ValueError(f"unknown rate {key!r}")
-        kw[_RATE_KEYS[base]] = float(val) * (scale if scale is not None else 1.0)
+        kw[base] = float(val) * (scale if scale is not None else 1.0)
     return NoiseRates(**kw)
 
 
@@ -486,37 +478,13 @@ def run_open_protocol(schedule, params: CircuitParams = None,
         phase = step.phase + (math.pi if step.area < 0 else 0.0)
         if step.kind == "drive":
             rho = _evolve_drive(rho, omega, phase, rates, abs(step.area) / omega)
-        elif step.kind == "njc":
-            if step.order != 2:
-                raise ValueError(
-                    f"open-system replay implements order 2 only, got {step.order}")
+        elif step.order != 2:
+            raise ValueError(f"open-system replay implements order 2 only, got {step.order}")
+        else:
             rho, _ = _evolve_pulse(rho, gen.h0, gen(0.0, exchange_phase=phase),
                                    dissipator, abs(step.area) / params.g2, rtol, atol)
-        else:
-            raise ValueError(f"unknown step kind {step.kind!r}")
 
     return rho, None if tvec is None else fidelity(rho, tvec)
-
-
-def wigner_comparison(schedule, params: CircuitParams, rates: NoiseRates,
-                      xs, ps, cutoff: int = 30, **kw):
-    """Wigner function of the ideal unitary replay versus the open-system
-    replay on the same grid. Returns (ideal grid, open grid, max |diff|)."""
-    from .fockspace import ptrace_qubit
-    from .synthesis import apply_schedule
-
-    if schedule.space.n_osc != 1:
-        raise ValueError("wigner_comparison handles single-oscillator schedules")
-    pure = apply_schedule(schedule, schedule.space.basis_state(*schedule.initial))
-    rho_ideal = ptrace_qubit(schedule.space, pure)
-    w_ideal = wigner(rho_ideal, xs, ps)
-
-    rho_open, _ = run_open_protocol(schedule, params, rates, cutoff=cutoff, **kw)
-    big = make_space([cutoff])
-    rho_osc = ptrace_qubit(big, rho_open)
-    w_open = wigner(rho_osc, xs, ps)
-    dev = float(np.max(np.abs(w_ideal.values - w_open.values)))
-    return w_ideal, w_open, dev
 
 
 def density_matrix_to_csv(rho: np.ndarray) -> str:

@@ -118,12 +118,8 @@ def steps_arbitrary(card: PunchCard):
     n = card.order
     j_n = base_step_count(n)
     n_arb = j_n + sum(card.heights)
-    top_level = 0
-    for k in range(n):
-        if card.heights[k]:
-            top_level = max(top_level, card.heights[k] * n + k)
-        elif card.base[k]:
-            top_level = max(top_level, k)
+    # cell [j, k] of the occupancy grid is Fock level j * n + k
+    top_level = int(np.flatnonzero(card.occupancy).max(initial=0))
     k_arb = j_n + max(top_level, n - 1) - (n - 1)
     return n_arb, k_arb
 

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, outputs, manifests, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 import oscsynth
-from oscsynth import opensystem
+from oscsynth import cli, opensystem
 from oscsynth.cli import main, parse_budget_file
-from oscsynth.fockspace import make_space
+from oscsynth.fockspace import make_space, ptrace_qubit, wigner
 from oscsynth.gates import PulseStep
 from oscsynth.planner import time_symmetric
 from oscsynth.synthesis import (CouplingBudget, PulseSchedule, schedule_from_json,
@@ -353,10 +354,90 @@ def test_open_sim_wigner_replays_once(tmp_path, monkeypatch):
                  "--wigner", str(wig), "--wigner-points", "21",
                  "--out", str(tmp_path / "rho.csv")]) == 0
     assert len(calls) == 1
-    # the grid equals the open-replay grid of wigner_comparison, byte for byte
-    _, w_open, _ = opensystem.wigner_comparison(
-        schedule_from_json(sched_path.read_text()), opensystem.CircuitParams(),
-        opensystem.NoiseRates(), *[np.linspace(-4, 4, 21)] * 2, cutoff=6)
+    # the grid equals the Wigner grid of the open replay's oscillator, byte for byte
+    rho, _ = real(schedule_from_json(sched_path.read_text()), opensystem.CircuitParams(),
+                  opensystem.NoiseRates(), cutoff=6)
+    xs = np.linspace(-4, 4, 21)
     ref = tmp_path / "ref.csv"
-    w_open.to_csv(ref)
+    wigner(ptrace_qubit(make_space([6]), rho), xs, xs).to_csv(ref)
     assert wig.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"version": 2, "steps": []}'],
+                         ids=["malformed-json", "no-space"])
+def test_open_sim_bad_schedule_exits_one_naming_it(tmp_path, capsys, text):
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(text)
+    out = tmp_path / "rho.csv"
+    assert main(["open-sim", "--schedule", str(sched_path), "--cutoff", "4",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: schedule file {str(sched_path)!r}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bad_schedule_from_the_shell_prints_no_traceback(tmp_path):
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text("{not json")
+    run = subprocess.run([sys.executable, "-m", "oscsynth.cli", "open-sim",
+                          "--schedule", str(sched_path), "--out", str(tmp_path / "rho.csv")],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: schedule file")
+
+
+@pytest.mark.parametrize("command, flag", [("synthesize", "--out"), ("open-sim", "--wigner")])
+def test_missing_output_directory_exits_one_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            command, flag):
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(1)
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "invert_symmetric", spy)
+    monkeypatch.setattr(opensystem, "run_open_protocol", spy)
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(schedule_to_json(PulseSchedule(
+        steps=[PulseStep("drive", math.pi / 4, 0.0)], space=make_space([4]),
+        budget=CouplingBudget())))
+    out = tmp_path / "rho.csv"
+    missing = str(tmp_path / "nodir" / "x.out")
+    if command == "synthesize":
+        argv = ["synthesize", "--target", "fock:0,1", "--order", "1", "--out", missing]
+    else:
+        argv = ["open-sim", "--schedule", str(sched_path), "--cutoff", "4",
+                "--out", str(out), "--wigner", missing]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(missing) in err
+    assert calls == []
+    assert not out.exists() and not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--csv"]], ids=["text", "csv"])
+def test_plan_out_writes_the_printed_text(tmp_path, capsys, extra):
+    argv = ["plan", "--target", "cat2:alpha=2,trunc=12", "--order", "2", *extra]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "p.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
+@pytest.mark.parametrize("command", ["synthesize", "plan"])
+def test_manifest_digests_every_input_file(tmp_path, command):
+    amps = tmp_path / "t.csv"
+    amps.write_text("0,1,0\n2,1,0\n")
+    budget = tmp_path / "budget.cfg"
+    budget.write_text("g1 = 100e6 *2pi\ng2 = 25e6 *2pi\n")
+    out = tmp_path / "out.txt"
+    assert main([command, "--target", f"amps:{amps}", "--order", "2", "--cutoff", "8",
+                 "--budget", str(budget), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "out.txt.manifest.json").read_text())
+    assert manifest["input_digests"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (amps, budget)}
+    assert manifest["outputs"] == [str(out)]
