@@ -129,13 +129,13 @@ def _usage_error(exc: Exception) -> int:
     return EXIT_USAGE
 
 
-def _missing_input(args, exc: FileNotFoundError) -> int:
-    """Report an input file that does not exist, named by its argument, and
-    return the usage exit code. A missing file that is no input is
-    re-raised."""
+def _missing_input(args, exc: OSError) -> int:
+    """Report an input file that is missing or a directory, named by its
+    argument, and return the usage exit code; other files' errors re-raise."""
     for name, path in _input_files(args).items():
         if path == exc.filename:
-            return _usage_error(ValueError(f"{name} file {path!r} not found"))
+            what = "is a directory" if isinstance(exc, IsADirectoryError) else "not found"
+            return _usage_error(ValueError(f"{name} file {path!r} {what}"))
     raise exc
 
 
@@ -388,6 +388,8 @@ def main(argv=None) -> int:
     for name in OUTPUT_ARGS:
         path = getattr(args, name, None)
         directory = os.path.dirname(path) if path else ""
+        if path and os.path.isdir(path):
+            return _usage_error(ValueError(f"{name} file {path!r} is a directory"))
         if directory and not os.path.isdir(directory):
             return _usage_error(ValueError(
                 f"{name} file {path!r}: directory {directory!r} not found"))
@@ -396,7 +398,7 @@ def main(argv=None) -> int:
     except opensystem.IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         return _missing_input(args, exc)
     except (ValueError, KeyError, RuntimeError) as exc:
         return _usage_error(exc)

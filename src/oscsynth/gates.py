@@ -18,10 +18,10 @@ duration). A negative area is physically a phase flip: (area, phase) and
 Every step is therefore a set of 2x2 rotations on disjoint (|e>, |g>) index
 pairs. Replays apply steps through the pair-rotation kernel (step_pairs,
 RotationPlan), which costs O(dim) per step and also gives a replay's
-adjoint gradient (RotationPlan.value_and_grad), and compilers turn one
-step's pairs in place with rotate; step_propagator, which writes each
-pair's drive_propagator block into a dense matrix, is the one dense
-reference both are tested against.
+Jacobian (RotationPlan.jacobian), and compilers turn one step's pairs in
+place with rotate; step_propagator, which writes each pair's
+drive_propagator block into a dense matrix, is the one dense reference
+both are tested against.
 """
 
 from __future__ import annotations
@@ -242,48 +242,27 @@ class RotationPlan:
             state[eg] = cos[k] * x + off[:, k] * x[::-1]
         return state
 
-    def value_and_grad(self, initial: np.ndarray, target: np.ndarray, areas, phases):
-        """(value, d value / d areas, d value / d phases) for value =
-        1 - |<target|psi>|, the infidelity fidelity measures, where psi is
-        apply's replay of a copy of initial.
-
-        Two sweeps give the whole gradient. The forward sweep is apply's and
-        keeps each pair's values before its rotation (x); the backward sweep
-        carries the costate from target through the negated-area rotations
-        and keeps each pair's costate values at its step (lam). A step's
-        overlap derivative is the sum over its pairs of conj(lam) dU x, with
-        dU in closed form: in area, weight times the rotation at angle
-        theta + pi/2 (cos -> -sin, sin -> cos); in phase, the off-diagonals
-        times (i, -i). At |<target|psi>| = 0 the gradient is zero.
-        """
-        state = np.array(initial, dtype=complex)
-        self._check(state)
+    def jacobian(self, initial: np.ndarray, areas, phases):
+        """(psi, J): apply's replay psi of a copy of initial and J = [d psi /
+        d areas, d psi / d phases], (dim, 2 steps), from one forward sweep of
+        a (dim, 1 + 2 steps) block of psi and its columns. Step k turns the
+        block, then writes its own two columns from its pairs' values x
+        before the turn: in area, weight times the rotation at theta + pi/2;
+        in phase, the off-diagonals times (i, -i). The gradient of 1 - |z|,
+        z = <target|psi>, is Re(-conj(z) / |z| * target^H J)."""
+        self._check(np.asarray(initial))
+        block = np.zeros((self._dim, 1 + 2 * len(self._spans)), dtype=complex)
+        block[:, 0] = initial
         theta = np.repeat(areas, self._counts) * self._weights
-        phase = np.repeat(phases, self._counts)
-        cos, off = _turn(theta, phase)
-        x = np.empty((2, len(theta)), dtype=complex)
-        for eg, k in self._spans:
-            x[:, k] = state[eg]
-            state[eg] = cos[k] * x[:, k] + off[:, k] * x[::-1, k]
-        overlap = np.vdot(target, state)
-        value = 1.0 - abs(overlap)
-        if overlap == 0 or not self._spans:
-            return value, np.zeros(len(self._spans)), np.zeros(len(self._spans))
-        lam = np.array(target, dtype=complex)
-        lams = np.empty_like(x)
-        for eg, k in reversed(self._spans):
-            lams[:, k] = y = lam[eg]
-            lam[eg] = cos[k] * y - off[:, k] * y[::-1]
-        lams = lams.conj()
-        cos_d, off_d = _turn(theta + math.pi / 2, phase)
-        d_area = self._weights * (lams * (cos_d * x + off_d * x[::-1])).sum(axis=0)
-        d_phase = lams * off * x[::-1]
-        d_phase = 1j * (d_phase[0] - d_phase[1])
-        starts = np.cumsum(self._counts) - self._counts
-        # d|z| = Re(conj(z) dz) / |z|
-        scale = -overlap.conjugate() / abs(overlap)
-        return (value, (scale * np.add.reduceat(d_area, starts)).real,
-                (scale * np.add.reduceat(d_phase, starts)).real)
+        cos, off = _turn(theta, np.repeat(phases, self._counts))
+        cos_d, off_d = _turn(theta + math.pi / 2, np.repeat(phases, self._counts))
+        for s, (eg, k) in enumerate(self._spans):
+            x = block[eg, : 1 + 2 * s]  # psi and columns 0..s-1: (2, pairs, 1 + 2 s)
+            block[eg, : 1 + 2 * s] = cos[k, None] * x + off[:, k, None] * x[::-1]
+            x = x[:, :, 0]
+            block[eg, 1 + 2 * s] = self._weights[k] * (cos_d[k] * x + off_d[:, k] * x[::-1])
+            block[eg, 2 + 2 * s] = 1j * off[:, k] * x[::-1] * [[1], [-1]]
+        return block[:, 0], np.concatenate([block[:, 1::2], block[:, 2::2]], axis=1)
 
 
 def _turn(theta, phase):

@@ -450,6 +450,7 @@ def run_open_protocol(schedule, params: CircuitParams = None,
     """
     params = params or CircuitParams()
     rates = rates or NoiseRates()
+    space = make_space([cutoff])  # DimensionError below cutoff 2
     if schedule.budget is None:
         raise ValueError("schedule needs a coupling budget for step durations")
     if len(schedule.initial) != 2:
@@ -462,9 +463,7 @@ def run_open_protocol(schedule, params: CircuitParams = None,
             raise ValueError("open-system replay has no number-selective drives; "
                              f"a drive selects Fock label {step.selectivity}")
     # a target that cannot load fails before any pulse is evolved
-    tvec = None
-    if target is not None:
-        tvec = _load_target(make_space([cutoff]), getattr(target, "amplitudes", target))
+    tvec = None if target is None else _load_target(space, getattr(target, "amplitudes", target))
     omega = schedule.budget.omega
     gen = InteractionPictureGenerator(params, cutoff)
     dissipator = _dissipator(cutoff, rates)

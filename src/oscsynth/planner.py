@@ -132,8 +132,8 @@ def _kill_time(budget: CouplingBudget, n: int, top: int) -> float:
 def time_symmetric(K: int, n: int, budget: CouplingBudget) -> float:
     """Preparation-time bound for a K-step single-column ladder of order n:
     K drive half-periods plus K exchange swaps at increasing rates."""
-    if K < 0:
-        raise ValueError("step count must be non-negative")
+    if K < 0 or n < 1:
+        raise ValueError(f"need step count K >= 0 and order n >= 1, got K = {K}, n = {n}")
     return sum((_kill_time(budget, n, j * n) for j in range(1, K + 1)), 0.0)
 
 

@@ -18,8 +18,8 @@ two-oscillator compiler in multiosc climbs each oscillator in turn, and
 the planner counts and times the same plan. invert_symmetric handles
 targets confined to a single rotational-symmetry column {k, n+k, 2n+k,
 ...}: one column of solved kills. Exact-semantics leakage of the climbing
-pulses is what refine_schedule cleans up, by a gradient search (L-BFGS-B)
-through the same pair-rotation kernel.
+pulses is what refine_schedule cleans up, by Levenberg-Marquardt on the
+replay residual, with its Jacobian from the same pair-rotation kernel.
 """
 
 from __future__ import annotations
@@ -295,13 +295,15 @@ def ftp_schedule(target: TargetState, n: int,
 
 def refine_schedule(schedule: PulseSchedule, target: TargetState,
                     semantics: str = "exact") -> PulseSchedule:
-    """Polish areas and phases by L-BFGS-B on the replay infidelity under
-    the given semantics, with its adjoint gradient from the pair-rotation
-    kernel (RotationPlan.value_and_grad). Never returns something worse
-    than the input; the returned schedule carries the semantics it was
-    refined under, and its fidelity is that of a fresh replay."""
-    from scipy.optimize import minimize
-
+    """Polish areas and phases by Levenberg-Marquardt (Nielsen's damping)
+    on the residual r = psi - e^{i alpha} target of the replay psi under
+    the given semantics, alpha a free global phase: at the best alpha,
+    |r|^2 = 2 (1 - fidelity). Its Jacobian J (RotationPlan.jacobian, at
+    accepted points) enters as Re(J^H J) and Re(J^H r); a replay scores
+    each trial. Stops at 1 - fidelity <= 1e-15, after ten rejected steps
+    in a row, or after 200 trials. Never returns something worse than the
+    input; the returned schedule carries the semantics it was refined
+    under, and its fidelity is that of a fresh replay."""
     steps = schedule.steps
     out = replace_schedule(schedule, steps=list(steps), semantics=semantics)
     out.fidelity = replay_fidelity(out, target)
@@ -311,19 +313,37 @@ def refine_schedule(schedule: PulseSchedule, target: TargetState,
     initial = _initial_vector(schedule)
     tvec = _load_target(schedule.space, target.amplitudes)
     p = len(steps)
-    x0 = np.array([s.area for s in steps] + [s.phase for s in steps])
-
-    def objective(x):
-        value, d_areas, d_phases = plan.value_and_grad(initial, tvec, x[:p], x[p:])
-        return value, np.concatenate([d_areas, d_phases])
-
-    res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                   options={"ftol": 1e-15, "gtol": 1e-10})
+    x = np.array([s.area for s in steps] + [s.phase for s in steps] + [0.0])
+    x[-1] = np.angle(np.vdot(tvec, plan.apply(initial.copy(), x[:p], x[p:-1])))
+    a, mu, nu = None, None, 2.0
+    for _ in range(200):
+        if a is None:  # a new accepted point
+            psi, jac = plan.jacobian(initial, x[:p], x[p:-1])
+            if 1.0 - abs(np.vdot(tvec, psi)) <= 1e-15:
+                break
+            jh = np.column_stack([jac, -1j * np.exp(1j * x[-1]) * tvec]).T.conj()  # J^H
+            r = psi - np.exp(1j * x[-1]) * tvec
+            a, g, cost = (jh @ jh.T.conj()).real, (jh @ r).real, np.vdot(r, r).real
+            mu = mu or 0.1 * a.diagonal().max()
+        h = np.linalg.solve(a + mu * np.eye(len(x)), -g)
+        gain = h @ (mu * h - g)  # the decrease of |r|^2 the linear model predicts
+        if gain <= 0:  # g = 0: a stationary point, such as zero overlap
+            break
+        trial = x + h
+        r = plan.apply(initial.copy(), trial[:p], trial[p:-1]) - np.exp(1j * trial[-1]) * tvec
+        rho = (cost - np.vdot(r, r).real) / gain
+        if rho > 0:
+            x, a, nu = trial, None, 2.0
+            mu *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
+        elif nu >= 2.0 ** 10:  # the tenth rejection in a row
+            break
+        else:
+            mu, nu = mu * nu, 2 * nu
     # PulseStep re-wraps the phases, so the optimizer's value is not quite
     # the built schedule's: compare fresh replays
     best = replace_schedule(out, steps=[
         replace(s, area=float(a), phase=float(ph))
-        for s, a, ph in zip(steps, res.x[:p], res.x[p:])])
+        for s, a, ph in zip(steps, x[:p], x[p:-1])])
     best.fidelity = replay_fidelity(best, target)
     return best if best.fidelity > out.fidelity else out
 

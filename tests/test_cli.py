@@ -171,7 +171,7 @@ SRC = os.path.dirname(os.path.dirname(oscsynth.__file__))
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported lazily, by refine_schedule and lindblad_evolve only
+    # scipy is imported lazily, by lindblad_evolve only
     code = ("import sys, oscsynth, oscsynth.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -415,6 +415,72 @@ def test_missing_output_directory_exits_one_before_any_work(tmp_path, capsys, mo
     assert err.startswith("error: ") and repr(missing) in err
     assert calls == []
     assert not out.exists() and not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("synthesize", "--out"), ("open-sim", "--out"),
+                                           ("open-sim", "--wigner")])
+def test_output_that_is_a_directory_exits_one_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             command, flag):
+    def spy(*args, **kw):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "invert_symmetric", spy)
+    monkeypatch.setattr(opensystem, "run_open_protocol", spy)
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(schedule_to_json(PulseSchedule(
+        steps=[PulseStep("drive", math.pi / 4, 0.0)], space=make_space([4]),
+        budget=CouplingBudget())))
+    given = {"--schedule": str(sched_path), "--cutoff": "4",
+             "--out": str(tmp_path / "rho.csv"), "--wigner": str(tmp_path / "w.csv")}
+    if command == "synthesize":
+        given = {"--target": "fock:0,1", "--order": "1"}
+    given[flag] = directory = str(tmp_path / "adir")
+    os.mkdir(directory)
+    assert main([command, *(word for item in given.items() for word in item)]) == 1
+    flag = flag[2:]
+    assert capsys.readouterr().err == f"error: {flag} file {directory!r} is a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["adir", "s.json"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("synthesize", "--budget"),
+    ("plan", "--target"),
+    ("open-sim", "--schedule"),
+    ("open-sim", "--params"),
+    ("open-sim", "--rates"),
+])
+def test_input_that_is_a_directory_exits_one_naming_it(tmp_path, capsys, command, flag):
+    sched_path = tmp_path / "s.json"
+    assert main(["synthesize", "--target", "fock:0", "--order", "1",
+                 "--out", str(sched_path)]) == 0
+    out = tmp_path / "out.csv"
+    given = {"--target": "fock:0,1", "--order": "1", "--cutoff": "4", "--out": str(out)}
+    if command == "open-sim":
+        given = {"--schedule": str(sched_path), "--cutoff": "4", "--out": str(out)}
+    # the reported case: open-sim --schedule / ended in a traceback
+    directory = "/"
+    given[flag] = "amps:" + directory if flag == "--target" else directory
+    capsys.readouterr()
+    assert main([command, *(word for item in given.items() for word in item)]) == 1
+    assert capsys.readouterr().err == f"error: {flag[2:]} file {directory!r} is a directory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--mode", "symmetric", "--K", "3", "--n", "0"],
+    ["open-sim", "--schedule", "SCHEDULE", "--cutoff", "1", "--out", "OUT"],
+], ids=["estimate-order-0", "open-sim-cutoff-1"])
+def test_degenerate_sizes_exit_one(tmp_path, capsys, argv):
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(schedule_to_json(PulseSchedule(
+        steps=[PulseStep("njc", 0.5, osc_index=0, order=2)], space=make_space([4]),
+        budget=CouplingBudget())))
+    argv = [{"SCHEDULE": str(sched_path), "OUT": str(tmp_path / "rho.csv")}.get(a, a)
+            for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not (tmp_path / "rho.csv").exists()
 
 
 @pytest.mark.parametrize("extra", [[], ["--csv"]], ids=["text", "csv"])

@@ -273,35 +273,46 @@ def _gradient_case(case, rng):
 
 
 @pytest.mark.parametrize("case", ["exact", "ideal-pair", "joint", "two-oscillator"])
-def test_value_and_grad_matches_central_differences(case):
+def test_jacobian_matches_central_differences(case):
+    plan, initial, _, areas, phases = _gradient_case(case, np.random.default_rng(11))
+    psi, jac = plan.jacobian(initial, areas, phases)
+    assert np.array_equal(psi, plan.apply(initial.copy(), areas, phases))
+    p = len(areas)
+    assert jac.shape == (len(initial), 2 * p)
+    h = 1e-6
+    for j, e in enumerate(np.eye(2 * p) * h):
+        fd = (plan.apply(initial.copy(), areas + e[:p], phases + e[p:])
+              - plan.apply(initial.copy(), areas - e[:p], phases - e[p:])) / (2 * h)
+        assert np.abs(jac[:, j] - fd).max() <= 1e-7 * np.abs(fd).max(), j
+
+
+@pytest.mark.parametrize("case", ["exact", "ideal-pair", "joint", "two-oscillator"])
+def test_jacobian_gives_the_infidelity_gradient(case):
+    # d(1 - |z|) = Re(-conj(z) / |z| * target^H J) for z = <target|psi>
     plan, initial, target, areas, phases = _gradient_case(case, np.random.default_rng(11))
-    value, d_areas, d_phases = plan.value_and_grad(initial, target, areas, phases)
-    replay = plan.apply(initial.copy(), areas, phases)
-    assert abs(value - (1.0 - fidelity(replay, target))) <= 1e-15
-    assert 0.0 < value < 1.0
+    psi, jac = plan.jacobian(initial, areas, phases)
+    z = np.vdot(target, psi)
+    assert 0.0 < abs(z) < 1.0
+    grad = (-z.conjugate() / abs(z) * (target.conj() @ jac)).real
 
     def infidelity(a, p):
         return 1.0 - fidelity(plan.apply(initial.copy(), a, p), target)
 
     h = 1e-6
-    eye = np.eye(len(areas)) * h
-    fd_areas = [(infidelity(areas + e, phases) - infidelity(areas - e, phases)) / (2 * h)
-                for e in eye]
-    fd_phases = [(infidelity(areas, phases + e) - infidelity(areas, phases - e)) / (2 * h)
-                 for e in eye]
-    for grad, fd in ((d_areas, fd_areas), (d_phases, fd_phases)):
-        fd = np.array(fd)
-        assert np.abs(grad - fd).max() <= 1e-7 * np.abs(fd).max()
+    p = len(areas)
+    fd = np.array([(infidelity(areas + e[:p], phases + e[p:])
+                    - infidelity(areas - e[:p], phases - e[p:])) / (2 * h)
+                   for e in np.eye(2 * p) * h])
+    assert np.abs(grad - fd).max() <= 1e-7 * np.abs(fd).max()
 
 
-def test_value_and_grad_is_zero_at_zero_overlap():
-    # a plain drive keeps |g,0> inside {|e,0>, |g,0>}: no overlap with |g,3>
+def test_jacobian_of_an_empty_plan_is_the_initial_state():
     sp = make_space([4])
-    plan = RotationPlan(sp, [PulseStep("drive", 0.4, 0.2)])
-    value, d_areas, d_phases = plan.value_and_grad(
-        sp.basis_state(QUBIT_G, 0), sp.basis_state(QUBIT_G, 3), [0.4], [0.2])
-    assert value == 1.0
-    assert np.array_equal(d_areas, [0.0]) and np.array_equal(d_phases, [0.0])
+    initial = sp.basis_state(QUBIT_G, 2)
+    psi, jac = RotationPlan(sp, []).jacobian(initial, [], [])
+    assert np.array_equal(psi, initial) and jac.shape == (sp.dim, 0)
+    with pytest.raises(DimensionError):
+        RotationPlan(sp, []).jacobian(np.append(initial, 0.0), [], [])
 
 
 @pytest.mark.parametrize("step, level", [

@@ -682,6 +682,16 @@ def test_run_open_protocol_rejects_target_support_at_the_cutoff():
                           cutoff=6, target=vec)
 
 
+@pytest.mark.parametrize("cutoff", [1, 0])
+def test_run_open_protocol_rejects_a_cutoff_below_two(monkeypatch, cutoff):
+    # at cutoff 1 the order-2 exchange has no pair to turn
+    forbid_pulses(monkeypatch)
+    sched = PulseSchedule(steps=[PulseStep("njc", 0.5, osc_index=0, order=2)],
+                          space=make_space([4]), budget=CouplingBudget())
+    with pytest.raises(DimensionError, match=f"cutoff must be >= 2, got {cutoff}"):
+        run_open_protocol(sched, cutoff=cutoff)
+
+
 def test_run_open_protocol_checks_the_target_before_any_pulse(monkeypatch):
     forbid_pulses(monkeypatch)
     sched = PulseSchedule(steps=[PulseStep("drive", 0.5)], space=make_space([4]),

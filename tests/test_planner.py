@@ -123,6 +123,12 @@ def test_time_symmetric_monotone_in_steps():
     assert times[0] == 0.0
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_time_symmetric_rejects_an_order_below_one(n):
+    with pytest.raises(ValueError, match=f"order n >= 1, got K = 3, n = {n}"):
+        time_symmetric(3, n, CouplingBudget(g={n: 1.0}))
+
+
 def test_time_symmetric_formula():
     b = CouplingBudget(omega=2.0, g={2: 3.0})
     t = time_symmetric(2, 2, b)

@@ -3,12 +3,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oscsynth
 from oscsynth.fockspace import QUBIT_G, DimensionError, make_space
 from oscsynth.gates import PulseStep
 from oscsynth.multiosc import ftp_two_oscillator
@@ -26,6 +30,9 @@ from oscsynth.synthesis import (
     schedule_to_json,
 )
 from oscsynth.targets import TargetState, cat_state, parse_target
+
+# the source tree this test run imports oscsynth from
+SRC = os.path.dirname(os.path.dirname(oscsynth.__file__))
 
 
 def column_target(amps, n, offset=0):
@@ -269,6 +276,50 @@ def test_refine_keeps_a_two_oscillator_schedule_and_its_meta():
     assert type(polished) is PulseSchedule
     assert [s.selectivity for s in polished.steps] == [s.selectivity for s in sched.steps]
     assert polished.semantics == "exact"
+
+
+def _refine_small_targets(seed):
+    """The five targets of one pass of perfbench's refine_small workload:
+    complex normal amplitudes on Fock levels 0..top, for top 3, 4, 4, 5, 6."""
+    rng = np.random.default_rng(seed)
+    return [TargetState(rng.normal(size=(top + 1, 2)) @ [1, 1j]) for top in (3, 4, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_refine_reaches_machine_precision_on_the_benchmark_targets(seed):
+    for target in _refine_small_targets(seed):
+        sched = ftp_schedule(target, 2)
+        polished = refine_schedule(sched, target, "exact")
+        assert 1.0 - polished.fidelity <= 1e-12
+        assert replay_fidelity(polished, target) == polished.fidelity
+
+
+def test_refine_is_deterministic():
+    target = _refine_small_targets(3)[-1]
+    sched = ftp_schedule(target, 2)
+    runs = [refine_schedule(sched, target, "exact") for _ in range(2)]
+    assert runs[0].steps == runs[1].steps
+    assert runs[0].fidelity == runs[1].fidelity
+
+
+def test_refine_at_zero_overlap_returns_a_replayed_copy():
+    # a plain drive keeps |g,0> inside {|e,0>, |g,0>}: no overlap with |g,3>,
+    # and no area or phase changes that
+    sched = PulseSchedule(steps=[PulseStep("drive", 0.4, 0.2)], space=make_space([4]))
+    target = TargetState([0, 0, 0, 1.0])
+    polished = refine_schedule(sched, target)
+    assert polished is not sched and polished.steps == sched.steps
+    assert polished.fidelity == 0.0 and sched.fidelity is None
+
+
+def test_refine_loads_no_scipy():
+    code = ("import sys; from oscsynth.synthesis import *; from oscsynth.targets import *; "
+            "t = TargetState([0.6, 0.3j, 0.5, -0.4, 0.37]); "
+            "refine_schedule(ftp_schedule(t, 2), t); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout == "[]\n"
 
 
 def test_replay_rejects_an_unknown_semantics_name():
