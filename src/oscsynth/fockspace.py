@@ -234,8 +234,9 @@ class WignerGrid:
                     fh.write(f"{x:.9g},{p:.9g},{self.values[i, j]:.9g}\n")
 
 
-def wigner(state: np.ndarray, x_axis=None, p_axis=None) -> WignerGrid:
-    """Wigner function of a single-oscillator state via displaced parity.
+def wigner(state: np.ndarray, x_axis, p_axis) -> WignerGrid:
+    """Wigner function of a single-oscillator state via displaced parity,
+    sampled on the grid x_axis x p_axis.
 
     W(x, p) = (1/pi) Tr[rho D(alpha) P D†(alpha)] with alpha = (x + ip)/√2
     and P the photon-number parity. This normalization integrates to 1 and
@@ -260,10 +261,6 @@ def wigner(state: np.ndarray, x_axis=None, p_axis=None) -> WignerGrid:
         raise DimensionError(
             f"state must be a vector or a square matrix, got shape {state.shape}")
     dim = rho.shape[0]
-    if x_axis is None:
-        x_axis = np.linspace(-5.0, 5.0, 201)
-    if p_axis is None:
-        p_axis = np.linspace(-5.0, 5.0, 201)
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
 

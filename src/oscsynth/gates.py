@@ -152,20 +152,14 @@ def step_propagator(space: TruncatedSpace, step: PulseStep,
 # pair-rotation kernel
 
 
-@dataclass(frozen=True)
-class PairTable:
-    """Every pair {|e,l,...>, |g,l+n,...>} of one oscillator at order n, in
-    flat-index order of the |e> side. Order 0 gives the pairs {|e,o>, |g,o>}
-    a plain drive rotates."""
-
-    eg: np.ndarray  # (2, pairs): flat indices of the |e> and |g> sides
-    weights: np.ndarray  # xi(l+n, n): a pair turns by area * weight
-
-
 @functools.lru_cache(maxsize=64)
-def pair_table(space: TruncatedSpace, osc_index: int, n: int) -> PairTable:
-    """The pair table of oscillator osc_index at order n, built once per
-    (space, osc_index, n); its arrays are read-only."""
+def pair_table(space: TruncatedSpace, osc_index: int, n: int):
+    """(eg, weights): every pair {|e,l,...>, |g,l+n,...>} of oscillator
+    osc_index at order n, in flat-index order of the |e> side. eg is
+    (2, pairs), the flat indices of the |e> and |g> sides; a pair turns by
+    area * weights, xi(l+n, n). Order 0 gives the pairs {|e,o>, |g,o>} a
+    plain drive rotates. Built once per (space, osc_index, n); both arrays
+    are read-only."""
     d = space.osc_cutoffs[osc_index]
     if not 0 <= n < d:
         raise DimensionError(f"pair order {n} must satisfy 0 <= n < cutoff {d}")
@@ -174,11 +168,10 @@ def pair_table(space: TruncatedSpace, osc_index: int, n: int) -> PairTable:
     flat = np.flatnonzero(levels < d - n)
     stride = od // math.prod(space.osc_cutoffs[: osc_index + 1])
     weights = np.array([xi(l + n, n) for l in range(d - n)])[levels[flat]]
-    table = PairTable(np.stack([QUBIT_E * od + flat, QUBIT_G * od + flat + n * stride]),
-                      weights)
-    for arr in (table.eg, table.weights):
+    eg = np.stack([QUBIT_E * od + flat, QUBIT_G * od + flat + n * stride])
+    for arr in (eg, weights):
         arr.flags.writeable = False
-    return table
+    return eg, weights
 
 
 def step_pairs(space: TruncatedSpace, step: PulseStep, semantics: str = "exact"):
@@ -200,8 +193,7 @@ def step_pairs(space: TruncatedSpace, step: PulseStep, semantics: str = "exact")
         if semantics == "exact":
             label = None
     if label is None:
-        table = pair_table(space, osc, n)
-        return table.eg, table.weights
+        return pair_table(space, osc, n)
     e = space.index(QUBIT_E, *label)
     top = list(label)
     top[osc] += n
@@ -349,13 +341,9 @@ class DispersiveModel:
 def selective_drive_frequency(models, fock_labels) -> float:
     """Drive frequency addressing the qubit conditioned on the given Fock label(s).
 
-    omega_q + sum over oscillators of chi^(n) * sum_k C+_{n,k} l^k. Pass a
-    single DispersiveModel and integer, or sequences of each for joint
-    two-oscillator selectivity.
+    omega_q + sum over oscillators of chi^(n) * sum_k C+_{n,k} l^k, for
+    sequences of one DispersiveModel and one Fock label per oscillator.
     """
-    if isinstance(models, DispersiveModel):
-        models = [models]
-        fock_labels = [fock_labels]
     if len(models) != len(fock_labels):
         raise DimensionError("need one Fock label per dispersive model")
     freq = models[0].omega_q

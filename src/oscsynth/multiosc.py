@@ -69,12 +69,12 @@ def invert_two_oscillator(target: TargetState, orders: tuple,
     return schedule
 
 
-def intermediate_states(schedule: PulseSchedule, semantics: str = None):
-    """Forward state after each step, starting state first."""
-    semantics = semantics or schedule.semantics
+def intermediate_states(schedule: PulseSchedule):
+    """Forward state after each step under the schedule's semantics,
+    starting state first."""
     out = [schedule.space.basis_state(*schedule.initial)]
     for step in schedule.steps:
-        out.append(apply_step(schedule.space, step, out[-1], semantics))
+        out.append(apply_step(schedule.space, step, out[-1], schedule.semantics))
     return out
 
 

@@ -50,14 +50,12 @@ TWOPI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Circuit frequencies and couplings (rad/s)."""
+    """Circuit frequencies and couplings (rad/s), each read by
+    InteractionPictureGenerator."""
 
     omega_q: float = TWOPI * 10e9
     omega_o: float = TWOPI * 5e9
     g2: float = TWOPI * 25e6
-    g_e1: float = TWOPI * 1.08e9
-    g_e2: float = TWOPI * 1.34e9
-    g_e3: float = TWOPI * 20e6
     g_e4: float = TWOPI * 10e6
     g_e5: float = TWOPI * 20e6
     g_c: float = TWOPI * 30e6

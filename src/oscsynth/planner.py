@@ -33,8 +33,12 @@ class PunchCard:
 
     order: int
     occupancy: np.ndarray = field(repr=False)  # bool, [row j, column k]
-    heights: tuple = ()
-    base: tuple = ()  # row-0 occupancy per column
+
+    @property
+    def heights(self) -> tuple:
+        """Per column, the highest occupied row (0 for an empty column)."""
+        rows = np.arange(len(self.occupancy))[:, None]
+        return tuple(int(h) for h in np.where(self.occupancy, rows, 0).max(axis=0))
 
     def render(self) -> str:
         """ASCII picture, top row first; the dashes mark the base row."""
@@ -73,44 +77,26 @@ class MultiPunchCard:
 
 def punch_card(target: TargetState, n: int) -> PunchCard:
     """Punch card of a single-oscillator target for interaction order n."""
-    amps = np.asarray(target.amplitudes if isinstance(target, TargetState) else target)
-    if amps.ndim != 1:
+    if target.n_osc != 1:
         raise ValueError("punch_card needs a single-oscillator target")
-    occ_levels = np.flatnonzero(support(amps))
-    top_row = max((int(l) // n for l in occ_levels), default=0)
-    grid = np.zeros((top_row + 1, n), dtype=bool)
-    for l in occ_levels:
-        grid[int(l) // n, int(l) % n] = True
-    heights = []
-    for k in range(n):
-        occ_rows = np.nonzero(grid[:, k])[0]
-        heights.append(int(occ_rows[-1]) if len(occ_rows) else 0)
-    return PunchCard(order=n, occupancy=grid, heights=tuple(heights),
-                     base=tuple(bool(b) for b in grid[0]))
+    occ_levels = np.flatnonzero(support(target.amplitudes))
+    grid = np.zeros((occ_levels.max(initial=0) // n + 1, n), dtype=bool)
+    grid[occ_levels // n, occ_levels % n] = True
+    return PunchCard(order=n, occupancy=grid)
 
 
-def base_step_count(n: int, available_orders=None) -> int:
+def base_step_count(n: int) -> int:
     """Steps J_n to prepare the base superposition over Fock 0..n-1.
 
-    Greedy over the usable interaction orders: each step of order m raises
-    the top reached level by m. By default orders {1, 2} are considered,
-    but an order m > 1 is only usable when it fits twice inside the base
-    span (2m <= n), which keeps the count at n-1 for small n (the pure
-    linear ladder) and engages the two-photon shortcut from n = 4 up.
+    Greedy over the interaction orders {1, 2}: each step of order m raises
+    the top reached level by m, and order 2 is only used when it fits
+    twice inside the base span (n >= 4). That keeps the count at n-1 for
+    small n (the pure linear ladder) and engages the two-photon shortcut,
+    J_n = n // 2, from n = 4 up.
     """
     if n < 1:
         raise ValueError("order must be positive")
-    if available_orders is None:
-        available_orders = tuple(m for m in (1, 2) if m == 1 or 2 * m <= n)
-    j = 0
-    remaining = n - 1
-    for m in sorted(available_orders, reverse=True):
-        while remaining >= m:
-            remaining -= m
-            j += 1
-    if remaining:
-        raise ValueError(f"orders {available_orders} cannot reach all base levels")
-    return j
+    return n - 1 if n < 4 else n // 2
 
 
 def steps_arbitrary(card: PunchCard):
@@ -137,16 +123,16 @@ def time_symmetric(K: int, n: int, budget: CouplingBudget) -> float:
     return sum((_kill_time(budget, n, j * n) for j in range(1, K + 1)), 0.0)
 
 
-def time_le(L: int, budget: CouplingBudget, drive_term: bool = True) -> float:
+def time_le(L: int, budget: CouplingBudget) -> float:
     """Linear-ladder time used in the fine-tune-vs-linear comparisons.
 
-    Matches the published worked values: L drive half-periods (omitted when
-    drive_term is False) plus swaps at rates g1*sqrt(j+1) for j = 1..L.
+    Matches the published worked values: L drive half-periods plus swaps at
+    rates g1*sqrt(j+1) for j = 1..L.
     """
     if L < 0:
         raise ValueError("L must be non-negative")
     g1 = budget.coupling(1)
-    t = L * PI / budget.omega if drive_term else 0.0
+    t = L * PI / budget.omega
     for j in range(1, L + 1):
         t += PI / (g1 * math.sqrt(j + 1))
     return t
@@ -161,7 +147,7 @@ def time_ftp(card: PunchCard, budget: CouplingBudget) -> float:
     n = card.order
     base_time = time_symmetric(n, 1, budget) if n > 1 else 0.0
     return base_time + sum(_kill_time(budget, n, j * n + k)
-                           for k in range(n) for j in range(1, card.heights[k] + 1))
+                           for k, h in enumerate(card.heights) for j in range(1, h + 1))
 
 
 def time_two_oscillator(L1: int, n1: int, L2: int, n2: int, budget: CouplingBudget) -> float:

@@ -87,9 +87,6 @@ class PulseSchedule:
             return None
         return sum(abs(s.area) / self.budget.coupling_for(s) for s in self.steps)
 
-    def __len__(self):
-        return len(self.steps)
-
 
 def apply_schedule(schedule: PulseSchedule, initial: np.ndarray,
                    semantics: str = None) -> np.ndarray:
@@ -249,16 +246,18 @@ def invert_symmetric(target: TargetState, n: int,
                      budget: CouplingBudget = None) -> PulseSchedule:
     """Compile a rotationally-symmetric target into 2M alternating operations.
 
-    The target must live in one symmetry column {l n + k}. Returns a
-    schedule of M (drive, njc) pairs whose forward replay from |g, k>
-    reproduces the target. Angles take the principal branch, i.e. the
-    smallest-magnitude solution of each constraint.
+    The target must live in one symmetry column {l n + k}; k is the one
+    residue mod n of its occupied levels, whatever its symmetry metadata
+    says. Returns a schedule of M (drive, njc) pairs whose forward replay
+    from |g, k> reproduces the target. Angles take the principal branch,
+    i.e. the smallest-magnitude solution of each constraint.
     """
     if target.n_osc != 1:
         raise ValueError("invert_symmetric compiles single-oscillator targets")
-    offset = target.symmetry_offset
-    if any((l - offset) % n for l in np.flatnonzero(support(target.amplitudes))):
+    residues = set(np.flatnonzero(support(target.amplitudes)) % n)
+    if len(residues) != 1:
         raise ValueError(f"target support is not confined to a single order-{n} column")
+    offset = int(residues.pop())
     top_level = target.max_index
     need = max(top_level + n + 1, n + offset + 1)
     if space is None:

@@ -2,14 +2,14 @@
 
 All constructors return a TargetState: oscillator-only Fock amplitudes plus
 rotational-symmetry metadata (order n and column offset k, meaning support
-only on Fock levels l*n + k). The metadata drives the symmetric compiler;
-it is always re-derivable from the amplitudes and is checked on creation.
+only on Fock levels l*n + k). The metadata is checked on creation and is
+always re-derivable from the amplitudes; the compilers work out their
+columns from the support itself.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from dataclasses import dataclass
 
@@ -107,8 +107,10 @@ def cat_state(space: TruncatedSpace, alpha: complex, components: str = "2-even",
     """Two- or four-component cat state, optionally truncated at a Fock level.
 
     components: "2-even" (|a>+|-a>), "2-odd" (|a>-|-a>), or "4-plus-plus"
-    (|a>+|ia>+|-a>+|-ia>).
+    (|a>+|ia>+|-a>+|-ia>). A negative truncate_at raises ValueError.
     """
+    if truncate_at is not None and truncate_at < 0:
+        raise ValueError(f"cat truncation level {truncate_at} is below 0")
     d = space.osc_cutoffs[0]
     if abs(alpha) ** 2 > d / 3:
         warnings.warn(f"cat alpha={alpha} is large for cutoff {d}", stacklevel=2)
@@ -184,13 +186,16 @@ def effective_squeezing(state) -> SqueezingMetrics:
 
 def multimode_target(space: TruncatedSpace, kind: str, **kw) -> TargetState:
     """Two-oscillator targets: noon(N), bell_cat(alpha1, alpha2[, truncate_at]),
-    dense(L1, L2), or custom(amplitudes)."""
+    dense(L1, L2), or custom(amplitudes). N < 1 and a negative truncate_at
+    raise ValueError."""
     if space.n_osc != 2:
         raise DimensionError("multimode targets need a two-oscillator space")
     d1, d2 = space.osc_cutoffs
     amps = np.zeros((d1, d2), dtype=complex)
     if kind == "noon":
         N = int(kw["N"])
+        if N < 1:
+            raise ValueError(f"NOON N={N} must be at least 1")
         if N >= d1 or N >= d2:
             raise DimensionError(f"NOON N={N} outside cutoffs")
         amps[N, 0] = 1.0
@@ -200,6 +205,8 @@ def multimode_target(space: TruncatedSpace, kind: str, **kw) -> TargetState:
         a1 = complex(kw["alpha1"])
         a2 = complex(kw["alpha2"])
         trunc = kw.get("truncate_at")
+        if trunc is not None and trunc < 0:
+            raise ValueError(f"bell-cat truncation level {trunc} is below 0")
         c1 = coherent_vector(d1, a1)
         c2 = coherent_vector(d2, a2)
         amps = np.outer(c1, c2) + np.outer(coherent_vector(d1, -a1), coherent_vector(d2, -a2))
@@ -222,9 +229,6 @@ def multimode_target(space: TruncatedSpace, kind: str, **kw) -> TargetState:
     return TargetState(amps, label=label)
 
 
-_NUM = r"[-+0-9.eEjJ]+"
-
-
 def _parse_kv(body: str, spec: str) -> dict:
     out = {}
     if not body:
@@ -237,13 +241,35 @@ def _parse_kv(body: str, spec: str) -> dict:
     return out
 
 
-def parse_target(spec: str, space: TruncatedSpace = None, cutoff: int = None) -> TargetState:
+def _fock_target(entries: list, spec: str, space_for) -> TargetState:
+    """The single-oscillator target summing amp onto Fock level l for each
+    (l, amp) of entries, on the space space_for(1, default cutoff) returns.
+    No entry, or a level below 0 or at or past the cutoff, raises
+    TargetParseError naming spec."""
+    if not entries:
+        raise TargetParseError(f"no Fock level in {spec!r}")
+    levels = [l for l, _ in entries]
+    if min(levels) < 0:
+        raise TargetParseError(f"Fock index {min(levels)} is below 0 in {spec!r}")
+    d = space_for(1, max(levels) + 9).osc_cutoffs[0]
+    if max(levels) >= d:
+        raise TargetParseError(f"Fock index {max(levels)} outside cutoff {d} in {spec!r}")
+    vec = np.zeros(d, dtype=complex)
+    for l, amp in entries:
+        vec[l] += amp
+    n, k = infer_symmetry(vec)
+    return TargetState(vec, n, k, label=spec)
+
+
+def parse_target(spec: str, space: TruncatedSpace = None) -> TargetState:
     """Parse a target spec string into a TargetState.
 
     Grammar: cat2:alpha=<c>, cat4:alpha=<c>, gkp:kappa=<r>,r=<r>,P=<i>,
     fock:<i>,<i>,... (uniform superposition), amps:<file>, noon:N=<i>,
     bellcat:alpha1=<c>,alpha2=<c>, dense:L1=<i>,L2=<i>. Optional
-    trunc=<i> on cat/bellcat specs caps the Fock support.
+    trunc=<i> on cat/bellcat specs caps the Fock support. Without a space,
+    each kind picks a cutoff that holds its support. A missing key, and a
+    fock/amps level out of range or absent, raise TargetParseError.
     """
     spec = spec.strip()
     if ":" in spec:
@@ -255,8 +281,7 @@ def parse_target(spec: str, space: TruncatedSpace = None, cutoff: int = None) ->
     def need_space(n_osc, default_cut):
         nonlocal space
         if space is None:
-            c = cutoff or default_cut
-            space = make_space([c] * n_osc)
+            space = make_space([default_cut] * n_osc)
         return space
 
     if head in ("cat2", "cat4"):
@@ -282,16 +307,7 @@ def parse_target(spec: str, space: TruncatedSpace = None, cutoff: int = None) ->
             levels = [int(tok) for tok in body.split(",") if tok.strip() != ""]
         except ValueError:
             raise TargetParseError(f"bad Fock index list in {spec!r}")
-        if not levels:
-            raise TargetParseError(f"fock: needs at least one index ({spec!r})")
-        sp = need_space(1, max(levels) + 9)
-        vec = np.zeros(sp.osc_cutoffs[0], dtype=complex)
-        for l in levels:
-            if l >= sp.osc_cutoffs[0]:
-                raise TargetParseError(f"Fock index {l} outside cutoff")
-            vec[l] += 1.0
-        n, k = infer_symmetry(vec)
-        return TargetState(vec, n, k, label=spec)
+        return _fock_target([(l, 1.0) for l in levels], spec, need_space)
     if head == "amps":
         path = body.strip()
         if not path:
@@ -307,16 +323,13 @@ def parse_target(spec: str, space: TruncatedSpace = None, cutoff: int = None) ->
                     entries[int(idx)] = float(re_s) + 1j * float(im_s)
                 except ValueError:
                     raise TargetParseError(f"{path}:{lineno}: expected `index,re,im`")
-        top = max(entries)
-        sp = need_space(1, top + 9)
-        vec = np.zeros(sp.osc_cutoffs[0], dtype=complex)
-        for idx, amp in entries.items():
-            vec[idx] = amp
-        n, k = infer_symmetry(vec)
-        return TargetState(vec, n, k, label=spec)
+        return _fock_target(list(entries.items()), spec, need_space)
     if head == "noon":
         kv = _parse_kv(body, spec)
-        N = int(kv.get("N", 0))
+        try:
+            N = int(kv["N"])
+        except KeyError:
+            raise TargetParseError(f"noon needs N= ({spec!r})")
         sp = need_space(2, N + 7)
         return multimode_target(sp, "noon", N=N)
     if head == "bellcat":

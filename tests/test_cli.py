@@ -507,3 +507,52 @@ def test_manifest_digests_every_input_file(tmp_path, command):
     assert manifest["input_digests"] == {
         str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (amps, budget)}
     assert manifest["outputs"] == [str(out)]
+
+
+def test_synthesize_a_column_that_the_metadata_does_not_name(tmp_path, capsys):
+    # fock:1,4,7 sits in the order-3 column of offset 1, while its symmetry
+    # metadata (from orders 4 and 2 only) reads order 1
+    budget = tmp_path / "budget.cfg"
+    budget.write_text("g1 = 100e6 *2pi\ng2 = 25e6 *2pi\ng3 = 2.5e6 *2pi\n")
+    out = tmp_path / "s.json"
+    assert main(["synthesize", "--target", "fock:1,4,7", "--order", "3",
+                 "--budget", str(budget), "--out", str(out)]) == 0
+    assert "fidelity: 1.0000000000" in capsys.readouterr().out
+    sched = schedule_from_json(out.read_text())
+    assert sched.initial == (1, 1) and sched.fidelity >= 1 - 1e-12
+
+
+def test_open_sim_rejects_a_circuit_parameter_the_model_does_not_read(tmp_path, capsys):
+    sched_path = tmp_path / "s.json"
+    assert main(["synthesize", "--target", "fock:0", "--order", "1",
+                 "--out", str(sched_path)]) == 0
+    params = tmp_path / "circuit.cfg"
+    params.write_text("g_e1_ghz = 1.08\n")
+    out = tmp_path / "rho.csv"
+    assert main(["open-sim", "--schedule", str(sched_path), "--params", str(params),
+                 "--cutoff", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unknown circuit parameter 'g_e1_ghz'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, extra", [
+    ("fock:-1,2", []),
+    ("amps:-1,1,0\n2,1,0\n", []),
+    ("amps:0,1,0\n30,1,0\n", []),
+    ("amps:", []),
+    ("noon:", ["--two-osc"]),
+    ("noon:N=0", ["--two-osc"]),
+    ("cat2:alpha=1,trunc=-3", []),
+    ("bellcat:alpha1=1,alpha2=1,trunc=-3", ["--two-osc"]),
+], ids=["fock-negative", "amps-negative", "amps-past-cutoff", "amps-empty", "noon-no-N",
+        "noon-zero", "cat-negative-trunc", "bellcat-negative-trunc"])
+def test_bad_target_specs_exit_one_with_one_error_line(tmp_path, capsys, spec, extra):
+    if spec.startswith("amps:"):  # the rest is the amplitude file's text
+        amps = tmp_path / "state.csv"
+        amps.write_text(spec[len("amps:"):])
+        spec = f"amps:{amps}"
+    assert main(["plan", "--target", spec, "--order", "1", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

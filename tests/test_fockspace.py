@@ -242,7 +242,7 @@ def test_wigner_matches_the_closed_form_on_a_random_state():
 @pytest.mark.parametrize("shape", [(3, 4), (2, 2, 2)])
 def test_wigner_rejects_a_state_that_is_not_a_vector_or_square_matrix(shape):
     with pytest.raises(DimensionError, match="square"):
-        wigner(np.ones(shape))
+        wigner(np.ones(shape), [0.0, 1.0], [0.0, 1.0])
 
 
 @pytest.mark.parametrize("axis", ["x_axis", "p_axis"])

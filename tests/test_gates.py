@@ -398,7 +398,7 @@ def test_dispersive_model_chi():
 def test_selective_drive_frequency_single_and_joint():
     m = DispersiveModel(order=1, omega_q=TWO_PI * 10e9, omega_o=TWO_PI * 5e9,
                         g=TWO_PI * 30e6)
-    f3 = selective_drive_frequency(m, 3)
+    f3 = selective_drive_frequency([m], [3])
     assert f3 == pytest.approx(m.omega_q + m.chi * (1 + 2 * 3))
     m2 = DispersiveModel(order=2, omega_q=TWO_PI * 10e9, omega_o=TWO_PI * 4.9e9,
                          g=TWO_PI * 25e6)

@@ -1,7 +1,7 @@
 """Tests for the interaction-picture circuit model and Lindblad replay."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
@@ -761,6 +761,23 @@ def test_load_params_unit_conversion(tmp_path):
     assert params.g_e4 == pytest.approx(TWO_PI * 10e6)
     assert params.g_c == pytest.approx(188495559.215)  # taken as-is
     assert params.g_e5 == pytest.approx(TWO_PI * 20e6)  # default kept
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(CircuitParams)])
+def test_every_circuit_parameter_changes_the_model(name):
+    # a parameter that no part of the model reads would leave both unchanged
+    base = CircuitParams()
+    bumped = replace(base, **{name: 1.5 * getattr(base, name)})
+    before, after = (InteractionPictureGenerator(p, 4) for p in (base, bumped))
+    assert not (np.array_equal(before.h0, after.h0)
+                and np.array_equal(before(0.0, 0.3), after(0.0, 0.3)))
+
+
+def test_load_params_rejects_an_unread_coupling(tmp_path):
+    p = tmp_path / "circuit.cfg"
+    p.write_text("g_e1_ghz = 1.08\n")
+    with pytest.raises(ValueError, match="unknown circuit parameter 'g_e1_ghz'"):
+        load_params(p)
 
 
 def test_load_rates_plain_per_second(tmp_path):

@@ -88,6 +88,19 @@ def test_invert_symmetric_cat():
     assert sched.duration > 0
 
 
+@pytest.mark.parametrize("target, n, start", [
+    (parse_target("fock:1,4,7", space=make_space([24])), 3, (QUBIT_G, 1)),
+    (cat_state(make_space([24]), 1.5, "2-odd"), 1, (QUBIT_G, 0)),
+], ids=["fock-1-4-7-order-3", "odd-cat-order-1"])
+def test_invert_symmetric_takes_its_column_from_the_support(target, n, start):
+    # the symmetry metadata names another order's column: (1, 0) for the
+    # Fock levels, (2, 1) for the odd cat
+    sched = invert_symmetric(target, n)
+    assert sched.initial == start
+    assert sched.fidelity >= 1 - 1e-12
+    assert replay_fidelity(sched, target) >= 1 - 1e-12
+
+
 def test_invert_symmetric_rejects_off_column_support():
     vec = np.zeros(6)
     vec[0] = vec[3] = 1.0

@@ -157,7 +157,7 @@ def test_multimode_targets():
 def test_parse_target_grammar():
     t = parse_target("cat2:alpha=2.0")
     assert t.symmetry_order == 2
-    t4 = parse_target("cat4:alpha=2,trunc=12", cutoff=40)
+    t4 = parse_target("cat4:alpha=2,trunc=12", space=make_space([40]))
     assert t4.max_index <= 12
     f = parse_target("fock:0,2,4")
     assert f.symmetry_order == 2
@@ -193,6 +193,32 @@ def test_parse_target_errors():
     sp = make_space([4])
     with pytest.raises(TargetParseError):
         parse_target("fock:9", space=sp)
+
+
+@pytest.mark.parametrize("lines", ["-1,1,0\n2,1,0\n", "0,1,0\n40,1,0\n", "", "# empty\n"],
+                         ids=["negative", "past-cutoff", "empty", "comment-only"])
+def test_parse_target_amps_rejects_bad_levels(tmp_path, lines):
+    p = tmp_path / "state.csv"
+    p.write_text(lines)
+    with pytest.raises(TargetParseError, match="amps:"):
+        parse_target(f"amps:{p}", space=make_space([40]))
+
+
+@pytest.mark.parametrize("spec", ["fock:-1,2", "fock:2,-3", "fock:40", "noon:", "noon"])
+def test_parse_target_rejects_bad_levels_and_a_missing_noon_order(spec):
+    with pytest.raises(TargetParseError, match=spec.split(":")[0]):
+        parse_target(spec, space=make_space([40] * (2 if spec.startswith("noon") else 1)))
+
+
+def test_negative_truncation_and_an_empty_noon_state_raise():
+    with pytest.raises(ValueError, match="below 0"):
+        cat_state(make_space([12]), 1.0, "2-even", truncate_at=-3)
+    with pytest.raises(ValueError, match="below 0"):
+        multimode_target(make_space([8, 8]), "bell_cat", alpha1=1.0, alpha2=1.0,
+                         truncate_at=-1)
+    for N in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            multimode_target(make_space([8, 8]), "noon", N=N)
 
 
 def test_parse_target_amps_bad_line(tmp_path):
