@@ -51,7 +51,6 @@ from .planner import (
     time_ftp,
     time_le,
     time_symmetric,
-    time_two_oscillator,
     two_oscillator_plan,
 )
 from .multiosc import (

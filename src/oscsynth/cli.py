@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__, opensystem
 from .fockspace import make_space, ptrace_qubit, wigner
-from .multiosc import ftp_two_oscillator
 from .planner import (base_step_count, punch_card, scaling_table, scaling_table_csv,
                       steps_arbitrary, time_ftp, time_le, time_symmetric,
                       two_oscillator_plan)
@@ -161,22 +160,16 @@ def _write_text(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _parse_order(text: str, two_osc: bool):
-    """--order as one interaction order, or with --two-osc as (n1, n2),
-    where a single value serves both oscillators. A ValueError names the
-    order for anything else and for an order below 1."""
+def _parse_order(text: str) -> tuple:
+    """--order as one interaction order per oscillator, n1,...,nM. A
+    ValueError names the order for anything else and for an order below 1."""
     try:
         orders = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ValueError(f"--order {text!r}: expected "
-                         + ("n or n1,n2" if two_osc else "an integer n")) from None
-    if len(orders) > 1 and not two_osc:
-        raise ValueError(f"--order {text!r}: two orders need --two-osc")
+        raise ValueError(f"--order {text!r}: expected n or n1,...,nM") from None
     if min(orders) < 1:
         raise ValueError(f"--order {text!r}: interaction orders must be >= 1")
-    if not two_osc:
-        return orders[0]
-    return orders * 2 if len(orders) == 1 else orders
+    return orders
 
 
 def _angular(text: str) -> float:
@@ -196,18 +189,13 @@ def _angular(text: str) -> float:
 
 def cmd_synthesize(args) -> int:
     budget = _load_budget(args.budget)
-    order = _parse_order(args.order, args.two_osc)
-    if args.two_osc:
-        space = make_space((args.cutoff, args.cutoff))
-        target = parse_target(args.target, space=space)
-        schedule = ftp_two_oscillator(target, order, budget=budget, space=space)
+    orders = _parse_order(args.order)
+    space = make_space([args.cutoff] * len(orders))
+    target = parse_target(args.target, space=space)
+    if len(orders) > 1 or args.ftp:
+        schedule = ftp_schedule(target, orders, budget=budget, space=space)
     else:
-        space = make_space([args.cutoff])
-        target = parse_target(args.target, space=space)
-        if args.ftp:
-            schedule = ftp_schedule(target, order, budget=budget, space=space)
-        else:
-            schedule = invert_symmetric(target, order, space=space, budget=budget)
+        schedule = invert_symmetric(target, orders[0], space=space, budget=budget)
     if args.semantics:
         schedule.semantics = "ideal-pair" if args.semantics == "ideal" else "exact"
         schedule.fidelity = replay_fidelity(schedule, target)
@@ -228,23 +216,23 @@ def cmd_synthesize(args) -> int:
 
 def cmd_plan(args) -> int:
     budget = _load_budget(args.budget)
-    order = _parse_order(args.order, args.two_osc)
-    if args.two_osc:
-        space = make_space((args.cutoff, args.cutoff))
-        target = parse_target(args.target, space=space)
-        steps, t_ftp = two_oscillator_plan(target, order, budget)
-        lin_steps, t_lin = two_oscillator_plan(target, (1, 1), budget)
+    orders = _parse_order(args.order)
+    space = make_space([args.cutoff] * len(orders))
+    target = parse_target(args.target, space=space)
+    if len(orders) > 1:
+        steps, t_ftp = two_oscillator_plan(target, orders, budget)
+        lin_steps, t_lin = two_oscillator_plan(target, (1,) * len(orders), budget)
         if args.csv:
-            lines = ["n1,n2,steps,steps_linear,T_ftp_ns,T_linear_ns",
-                     f"{order[0]},{order[1]},{steps},{lin_steps},"
+            lines = [",".join(f"n{i + 1}" for i in range(len(orders)))
+                     + ",steps,steps_linear,T_ftp_ns,T_linear_ns",
+                     ",".join(str(n) for n in orders) + f",{steps},{lin_steps},"
                      f"{t_ftp * 1e9:.12g},{t_lin * 1e9:.12g}"]
         else:
-            lines = [f"orders: {order}",
+            lines = [f"orders: {orders}",
                      f"steps: {steps} (linear protocol: {lin_steps})",
                      f"T_FTP: {t_ftp * 1e9:.2f} ns (linear: {t_lin * 1e9:.2f} ns)"]
     else:
-        space = make_space([args.cutoff])
-        target = parse_target(args.target, space=space)
+        order = orders[0]
         card = punch_card(target, order)
         n_arb, k_arb = steps_arbitrary(card)
         t_ftp = time_ftp(card, budget)
@@ -321,6 +309,10 @@ def cmd_open_sim(args) -> int:
 # argument wiring
 
 
+ORDER_HELP = ("interaction order n for one oscillator, or n1,...,nM: one per "
+              "oscillator, M the number of oscillators")
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="oscsynth",
@@ -331,13 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     syn = sub.add_parser("synthesize", help="compile a target into a schedule JSON")
     syn.add_argument("--target", required=True)
-    syn.add_argument("--order", required=True,
-                     help="interaction order n (or n1,n2 with --two-osc)")
+    syn.add_argument("--order", required=True, help=ORDER_HELP)
     syn.add_argument("--cutoff", type=int, default=24)
     syn.add_argument("--budget", default=None)
     syn.add_argument("--ftp", action="store_true",
-                     help="use the fine-tune-then-populate compiler")
-    syn.add_argument("--two-osc", action="store_true")
+                     help="use the fine-tune-then-populate compiler (always used "
+                          "for more than one oscillator)")
     syn.add_argument("--semantics", choices=("exact", "ideal"), default=None)
     syn.add_argument("--threshold", type=float, default=0.999)
     syn.add_argument("--out", required=True)
@@ -345,10 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="punch-card step and time analysis")
     plan.add_argument("--target", required=True)
-    plan.add_argument("--order", required=True)
+    plan.add_argument("--order", required=True, help=ORDER_HELP)
     plan.add_argument("--cutoff", type=int, default=24)
     plan.add_argument("--budget", default=None)
-    plan.add_argument("--two-osc", action="store_true")
     plan.add_argument("--csv", action="store_true")
     plan.add_argument("--out", default=None)
     plan.set_defaults(func=cmd_plan)

@@ -1,17 +1,18 @@
-"""Two-oscillator pulse-schedule compilation.
+"""Multi-oscillator schedules.
 
-The single-oscillator engine of synthesis, staged per oscillator
-(synthesis.kill_plan at two orders): run the target backwards, first
-climbing oscillator 2 down to its base levels at every oscillator-1 label,
-then climbing oscillator 1 at the remaining oscillator-2 base labels, and
-finally clearing the base block with the same two climbs at orders
-(1, 1). Every kill is a full swap plus a joint-selective drive. Forward
-replay therefore builds oscillator 1 up first, then sweeps oscillator 2
-row by row, matching the published step accounting.
+Compilation for any number of oscillators is synthesis.ftp_schedule, with
+one interaction order per oscillator: run the target backwards, climbing
+the last oscillator down to its base levels at every label of the
+others, then each earlier oscillator in turn, and finally clearing the
+base block with the same climbs at order 1. Every kill is a full swap
+plus a joint-selective drive. Forward replay therefore builds oscillator
+1 up first, then sweeps each later oscillator label by label, matching
+the published step accounting.
 
-The result is a plain PulseSchedule over a qubit and two oscillators:
-njc steps carry osc_index in {0, 1}, and both steps of a kill carry the
-joint (l1, l2) label of its pair. annotate_frequencies lists the drive
+The result is a plain PulseSchedule over a qubit and the oscillators: njc
+steps carry their oscillator's osc_index, and both steps of a kill carry
+the joint Fock label of its pair. invert_two_oscillator adds the lattice
+check of symmetric targets, and annotate_frequencies lists the drive
 frequency each step needs.
 """
 
@@ -19,53 +20,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fockspace import QUBIT_G, TruncatedSpace, make_space
+from .fockspace import TruncatedSpace
 from .gates import apply_step, selective_drive_frequency
-from .synthesis import CouplingBudget, PulseSchedule, _compiled, kill_plan
+from .synthesis import CouplingBudget, PulseSchedule, ftp_schedule
 from .targets import TargetState, support
 
-
-def ftp_two_oscillator(target: TargetState, orders: tuple,
-                       budget: CouplingBudget = None,
-                       space: TruncatedSpace = None) -> PulseSchedule:
-    """Compile an arbitrary two-oscillator target.
-
-    Two climbing stages at the requested orders, then the remaining base
-    block over {0..n1-1} x {0..n2-1} is cleared the same way at orders
-    (1, 1). Replay is exact under ideal-pair semantics.
-    """
-    amps = np.asarray(target.amplitudes)
-    if amps.ndim != 2:
-        raise ValueError("ftp_two_oscillator compiles two-oscillator targets")
-    # the base kills come last in inversion order, so the forward replay
-    # prepares the base block first; kill_plan checks orders
-    occupied = support(amps)
-    plan = kill_plan(occupied, orders)
-    if space is None:
-        n1, n2 = orders
-        top1, top2 = np.argwhere(occupied).max(axis=0)
-        space = make_space((max(top1 + n1 + 1, n1 + 2), max(top2 + n2 + 1, n2 + 2)))
-    return _compiled(space, plan, (QUBIT_G, 0, 0), target, budget=budget,
-                     semantics="ideal-pair", target_label=target.label)
+#: the two-oscillator name of ftp_schedule, kept for its callers
+ftp_two_oscillator = ftp_schedule
 
 
 def invert_two_oscillator(target: TargetState, orders: tuple,
                           budget: CouplingBudget = None,
                           space: TruncatedSpace = None) -> PulseSchedule:
-    """Compile a rotationally-symmetric two-oscillator target.
+    """Compile a rotationally-symmetric multi-oscillator target.
 
-    The support must sit on the lattice {(j1 n1, j2 n2)}; the schedule then
-    needs no separate base stage (the base block is |0,0> alone), so the
-    forward replay is: oscillator-1 ladder first, then oscillator-2 column
-    sweeps, as in the reference trajectories.
+    The support must sit on the lattice {(j_1 n_1, ..., j_M n_M)}; the
+    schedule then needs no separate base stage (the base block is
+    |0, ..., 0> alone), so the forward replay is: oscillator-1 ladder
+    first, then the later oscillators' column sweeps, as in the reference
+    trajectories.
     """
-    # ftp_two_oscillator checks orders before they are unpacked here
-    schedule = ftp_two_oscillator(target, orders, budget=budget, space=space)
-    n1, n2 = orders
-    for l1, l2 in np.argwhere(support(target.amplitudes)):
-        if l1 % n1 or l2 % n2:
-            raise ValueError(
-                f"support at ({l1},{l2}) breaks the ({n1},{n2}) lattice symmetry")
+    # ftp_schedule checks orders before they are used here
+    schedule = ftp_schedule(target, orders, budget=budget, space=space)
+    labels = np.argwhere(support(target.amplitudes))
+    for axis, n in enumerate(orders):
+        off = labels[labels[:, axis] % n != 0]
+        if len(off):
+            raise ValueError(f"support at {tuple(int(l) for l in off[0])} breaks the "
+                             f"{tuple(orders)} lattice symmetry")
     return schedule
 
 
@@ -82,11 +64,11 @@ def annotate_frequencies(schedule: PulseSchedule, models: tuple) -> list:
     """The drive frequency (rad/s) of every step, None for njc steps.
 
     models: one DispersiveModel per oscillator. Each joint-selective drive
-    at (l1, l2) gets the qubit frequency shifted by both oscillators'
-    number-dependent dispersive sums; non-selective drives sit at the bare
+    gets the qubit frequency shifted by every oscillator's number-dependent
+    dispersive sum at its label; non-selective drives sit at the bare
     qubit frequency.
     """
-    if len(models) != 2 or any(m is None for m in models):
+    if len(models) != schedule.space.n_osc or any(m is None for m in models):
         raise ValueError("annotate_frequencies needs one dispersive model per oscillator")
     freqs = []
     for step in schedule.steps:

@@ -8,9 +8,11 @@ time: pi/Omega per drive plus pi/(g_n * xi(top, n)) per exchange pulse out
 of level top (xi(j n + k, n) for the j-th swap of column k).
 
 The single-oscillator count is the paper's J_n + sum of heights. The
-two-oscillator count and time are the compiler's own kill plan
-(synthesis.kill_plan), so its heights count the climbs on the support as
-the earlier stages fold it, not on the target's occupancy.
+multi-oscillator count and time (two_oscillator_plan, for any number of
+oscillators) are the compiler's own kill plan (synthesis.kill_plan), so
+they count the climbs on the support as the earlier stages fold it, not
+on the target's occupancy; multi_punch_card bins that plan by stage for
+two oscillators.
 """
 
 from __future__ import annotations
@@ -150,13 +152,6 @@ def time_ftp(card: PunchCard, budget: CouplingBudget) -> float:
                            for k, h in enumerate(card.heights) for j in range(1, h + 1))
 
 
-def time_two_oscillator(L1: int, n1: int, L2: int, n2: int, budget: CouplingBudget) -> float:
-    """Dense upper-bound time for the two-oscillator ladder protocol:
-    populate oscillator 1 (L1 steps), then every oscillator-2 column over
-    L1+1 oscillator-1 levels (L2 steps each)."""
-    return time_symmetric(L1, n1, budget) + (L1 + 1) * time_symmetric(L2, n2, budget)
-
-
 def multi_punch_card(target: TargetState, orders: tuple) -> MultiPunchCard:
     """Bin the two-oscillator kill plan of a target by stage."""
     n1, n2 = orders
@@ -179,18 +174,12 @@ def multi_punch_card(target: TargetState, orders: tuple) -> MultiPunchCard:
 
 
 def two_oscillator_plan(target: TargetState, orders: tuple, budget: CouplingBudget):
-    """(steps, time) of the compiled two-oscillator protocol: one step per
-    kill of its plan, each costing a drive and an exchange pi-pulse."""
+    """(steps, time) of the protocol ftp_schedule compiles for a target of
+    any number of oscillators at one order each: one step per kill of its
+    plan, each costing a drive and an exchange pi-pulse."""
     plan = kill_plan(support(target.amplitudes), orders)
     return len(plan), sum(_kill_time(budget, n, src[osc_index] + n)
                           for osc_index, src, n, _ in plan)
-
-
-def steps_two_oscillator_bound(n1: int, L1: int, n2: int, L2: int, j_base: int = None) -> int:
-    """Dense upper bound K_arb(n1,L1;n2,L2) on the two-oscillator step count."""
-    if j_base is None:
-        j_base = base_step_count(n1) + base_step_count(n2)
-    return j_base + n2 * (L1 - (n1 - 1)) + (L1 + 1) * (L2 - (n2 - 1))
 
 
 def scaling_table(orders, budgets, k_range) -> list:

@@ -12,14 +12,14 @@ Which kills to run is decided once, by kill_plan, from the target's
 support alone: a climb is the run of selective kills folding one
 oscillator down to its base levels 0..n-1, and each kill leaves its lower
 level occupied, so the plan is a dry run on booleans. ftp_schedule handles
-arbitrary targets (fine-tune-then-populate): one climb at order n, then
-the order-1 column of solved kills over the base levels. The
-two-oscillator compiler in multiosc climbs each oscillator in turn, and
-the planner counts and times the same plan. invert_symmetric handles
-targets confined to a single rotational-symmetry column {k, n+k, 2n+k,
-...}: one column of solved kills. Exact-semantics leakage of the climbing
-pulses is what refine_schedule cleans up, by Levenberg-Marquardt on the
-replay residual, with its Jacobian from the same pair-rotation kernel.
+arbitrary targets of any number of oscillators (fine-tune-then-populate):
+one climb per oscillator at its order, then order-1 climbs over the base
+levels. The planner counts and times the same plan. invert_symmetric
+handles targets confined to a single rotational-symmetry column {k, n+k,
+2n+k, ...}: one column of solved kills. Exact-semantics leakage of the
+climbing pulses is what refine_schedule cleans up, by Levenberg-Marquardt
+on the replay residual, with its Jacobian from the same pair-rotation
+kernel.
 """
 
 from __future__ import annotations
@@ -135,23 +135,22 @@ def kill_plan(support: np.ndarray, orders: tuple) -> list:
     """The kills that invert a target with boolean |g> support (one axis
     per oscillator), as (osc_index, src, n, selective) in inversion order.
 
-    orders (n,) is ftp_schedule: one climb at order n, then the order-1
-    column of solved kills from the highest occupied base level down.
-    orders (n1, n2) is ftp_two_oscillator: climbs at (oscillator 1, n2),
-    (0, n1), (1, 1), (0, 1). A stage runs over each label of the other
-    oscillators, highest label first, and within it from the top level
-    down: an occupied top with top >= n is killed into src = top - n, which
-    the kill leaves occupied (|g,src'|^2 = |g,src|^2 + |g,top|^2 for a
-    selective kill), so this dry run on booleans is exact.
+    For M = len(orders) oscillators the stages are climbs at (oscillator
+    M-1, n_{M-1}), ..., (0, n_0), then order-1 climbs in the same
+    oscillator order. Every kill is selective, except the order-1 base of
+    a single oscillator: that base is one lane, so its kills are solved.
+    A stage runs over each label of the other oscillators, highest label
+    first, and within it from the top level down: an occupied top with
+    top >= n is killed into src = top - n, which the kill leaves occupied
+    (|g,src'|^2 = |g,src|^2 + |g,top|^2 for a selective kill), so this
+    dry run on booleans is exact.
     """
     occupied = np.array(support, dtype=bool)
-    if occupied.ndim != len(orders) or len(orders) > 2 or min(orders) < 1:
+    if occupied.ndim != len(orders) or min(orders, default=0) < 1:
         raise ValueError(f"orders {orders} do not fit a {occupied.ndim}-oscillator support")
-    if len(orders) == 1:
-        stages = ((0, orders[0], True), (0, 1, False))
-    else:
-        n1, n2 = orders
-        stages = ((1, n2, True), (0, n1, True), (1, 1, True), (0, 1, True))
+    axes = range(len(orders) - 1, -1, -1)
+    stages = ([(i, orders[i], True) for i in axes]
+              + [(i, 1, len(orders) > 1) for i in axes])
     plan = []
     for osc_index, n, selective in stages:
         lanes = np.moveaxis(occupied, osc_index, -1)  # a view: kills write through
@@ -271,25 +270,29 @@ def invert_symmetric(target: TargetState, n: int,
                      target_label=target.label, semantics="exact")
 
 
-def ftp_schedule(target: TargetState, n: int,
+def ftp_schedule(target: TargetState, orders,
                  budget: CouplingBudget = None,
                  space: TruncatedSpace = None) -> PulseSchedule:
-    """Fine-tune-then-populate compiler for arbitrary single-oscillator targets.
+    """Fine-tune-then-populate compiler for arbitrary targets of any number
+    of oscillators: orders is one interaction order per oscillator, or an
+    int for one oscillator.
 
-    Builds the order-1 base over Fock 0..n-1, one pair per level up to the
-    highest occupied base level, then climbs each symmetry column with a
-    selective drive plus an order-n full swap per row, up to the column's
-    punch-card height. Replay is exact under ideal-pair semantics; under
-    exact semantics bystander levels leak (reported via the returned
-    schedule's fidelity when re-evaluated).
+    Runs the kill plan backwards from the target to |g, 0, ..., 0>: one
+    climb per oscillator at its order, then the order-1 climbs over the
+    base levels (see kill_plan). Replay is exact under ideal-pair
+    semantics; under exact semantics bystander levels leak (reported via
+    the returned schedule's fidelity when re-evaluated). Without a space,
+    oscillator i gets cutoff max(top_i + n_i + 1, 2 n_i + 1), top_i its
+    highest occupied level.
     """
-    if target.n_osc != 1:
-        raise ValueError("ftp_schedule compiles single-oscillator targets")
+    orders = (orders,) if np.ndim(orders) == 0 else tuple(orders)
+    occupied = support(target.amplitudes)
+    plan = kill_plan(occupied, orders)
     if space is None:
-        space = make_space([max(target.max_index + n + 1, 2 * n + 1)])
-
-    return _compiled(space, kill_plan(support(target.amplitudes), (n,)), (QUBIT_G, 0),
-                     target, budget=budget, target_label=target.label, semantics="ideal-pair")
+        tops = np.argwhere(occupied).max(axis=0, initial=0)
+        space = make_space([max(int(top) + n + 1, 2 * n + 1) for top, n in zip(tops, orders)])
+    return _compiled(space, plan, (QUBIT_G,) + (0,) * len(orders), target, budget=budget,
+                     target_label=target.label, semantics="ideal-pair")
 
 
 def refine_schedule(schedule: PulseSchedule, target: TargetState,

@@ -34,8 +34,8 @@ class TargetParseError(ValueError):
 class TargetState:
     """Normalized oscillator target with symmetry metadata.
 
-    For two-oscillator targets, amplitudes is a (D1, D2) matrix and the
-    symmetry fields describe the per-oscillator orders.
+    For multi-oscillator targets, amplitudes has one axis per oscillator,
+    (D1, ..., DM), and the symmetry fields are not checked.
     """
 
     amplitudes: np.ndarray
@@ -186,8 +186,8 @@ def effective_squeezing(state) -> SqueezingMetrics:
 
 def multimode_target(space: TruncatedSpace, kind: str, **kw) -> TargetState:
     """Two-oscillator targets: noon(N), bell_cat(alpha1, alpha2[, truncate_at]),
-    dense(L1, L2), or custom(amplitudes). N < 1 and a negative truncate_at
-    raise ValueError."""
+    dense(L1, L2), or custom(amplitudes). N < 1, a negative truncate_at
+    and a negative L1 or L2 raise ValueError."""
     if space.n_osc != 2:
         raise DimensionError("multimode targets need a two-oscillator space")
     d1, d2 = space.osc_cutoffs
@@ -217,6 +217,8 @@ def multimode_target(space: TruncatedSpace, kind: str, **kw) -> TargetState:
     elif kind == "dense":
         L1 = int(kw["L1"])
         L2 = int(kw["L2"])
+        if L1 < 0 or L2 < 0:
+            raise ValueError(f"dense extent L1={L1}, L2={L2} must be at least 0")
         if L1 >= d1 or L2 >= d2:
             raise DimensionError("dense extent outside cutoffs")
         amps[: L1 + 1, : L2 + 1] = 1.0
@@ -268,8 +270,10 @@ def parse_target(spec: str, space: TruncatedSpace = None) -> TargetState:
     fock:<i>,<i>,... (uniform superposition), amps:<file>, noon:N=<i>,
     bellcat:alpha1=<c>,alpha2=<c>, dense:L1=<i>,L2=<i>. Optional
     trunc=<i> on cat/bellcat specs caps the Fock support. Without a space,
-    each kind picks a cutoff that holds its support. A missing key, and a
-    fock/amps level out of range or absent, raise TargetParseError.
+    each kind picks a cutoff that holds its support, at least 7 for the
+    two-oscillator kinds, so that a bad N, trunc or extent fails the kind's
+    own check. A missing key, and a fock/amps level out of range or absent,
+    raise TargetParseError.
     """
     spec = spec.strip()
     if ":" in spec:
@@ -330,7 +334,7 @@ def parse_target(spec: str, space: TruncatedSpace = None) -> TargetState:
             N = int(kv["N"])
         except KeyError:
             raise TargetParseError(f"noon needs N= ({spec!r})")
-        sp = need_space(2, N + 7)
+        sp = need_space(2, max(N, 0) + 7)
         return multimode_target(sp, "noon", N=N)
     if head == "bellcat":
         kv = _parse_kv(body, spec)
@@ -339,7 +343,7 @@ def parse_target(spec: str, space: TruncatedSpace = None) -> TargetState:
         except KeyError:
             raise TargetParseError(f"bellcat needs alpha1=, alpha2= ({spec!r})")
         trunc = int(kv["trunc"]) if "trunc" in kv else None
-        sp = need_space(2, (trunc + 7) if trunc else 20)
+        sp = need_space(2, max(trunc, 0) + 7 if trunc is not None else 20)
         return multimode_target(sp, "bell_cat", alpha1=a1, alpha2=a2, truncate_at=trunc)
     if head == "dense":
         kv = _parse_kv(body, spec)
@@ -347,6 +351,6 @@ def parse_target(spec: str, space: TruncatedSpace = None) -> TargetState:
             L1, L2 = int(kv["L1"]), int(kv["L2"])
         except KeyError:
             raise TargetParseError(f"dense needs L1=, L2= ({spec!r})")
-        sp = need_space(2, max(L1, L2) + 7)
+        sp = need_space(2, max(L1, L2, 0) + 7)
         return multimode_target(sp, "dense", L1=L1, L2=L2)
     raise TargetParseError(f"unknown target kind {head!r} at position 0 of {spec!r}")

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -16,8 +17,9 @@ from oscsynth.cli import main, parse_budget_file
 from oscsynth.fockspace import make_space, ptrace_qubit, wigner
 from oscsynth.gates import PulseStep
 from oscsynth.planner import time_symmetric
-from oscsynth.synthesis import (CouplingBudget, PulseSchedule, schedule_from_json,
-                                schedule_to_json)
+from oscsynth.synthesis import (CouplingBudget, PulseSchedule, ftp_schedule,
+                                schedule_from_json, schedule_to_json)
+from oscsynth.targets import parse_target
 
 
 def test_help_exits_zero(capsys):
@@ -89,7 +91,7 @@ def test_synthesize_quality_threshold_exits_two(tmp_path):
     # bystander levels, landing below the default quality threshold
     out = tmp_path / "d.json"
     rc = main(["synthesize", "--target", "dense:L1=1,L2=1", "--order", "2,2",
-               "--two-osc", "--semantics", "exact", "--cutoff", "8",
+               "--semantics", "exact", "--cutoff", "8",
                "--out", str(out)])
     assert rc == 2
     assert out.exists()  # schedule still written for inspection
@@ -132,7 +134,7 @@ def test_plan_csv_output(capsys):
 
 def test_plan_two_osc(capsys):
     rc = main(["plan", "--target", "dense:L1=2,L2=2", "--order", "2,2",
-               "--two-osc", "--cutoff", "8"])
+               "--cutoff", "8"])
     assert rc == 0
     text = capsys.readouterr().out
     assert "steps: 8" in text
@@ -140,20 +142,61 @@ def test_plan_two_osc(capsys):
 
 @pytest.mark.parametrize("command", ["synthesize", "plan"])
 def test_two_osc_rejects_three_orders(command, tmp_path, capsys):
-    argv = [command, "--target", "noon:N=2", "--order", "2,2,2", "--two-osc",
+    argv = [command, "--target", "noon:N=2", "--order", "2,2,2",
             "--cutoff", "8"]
     if command == "synthesize":
         argv += ["--out", str(tmp_path / "s.json")]
     assert main(argv) == 1
     assert capsys.readouterr().err == (
-        "error: orders (2, 2, 2) do not fit a 2-oscillator support\n")
+        "error: multimode targets need a two-oscillator space\n")
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "plan"])
+def test_the_two_osc_flag_is_gone(command, tmp_path):
+    # the number of --order values is the number of oscillators
+    argv = [command, "--target", "noon:N=2", "--order", "2,2", "--two-osc"]
+    if command == "synthesize":
+        argv += ["--out", str(tmp_path / "s.json")]
+    assert main(argv) == 1
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_synthesize_two_orders_writes_the_ftp_schedule(tmp_path, capsys):
+    out = tmp_path / "noon.json"
+    assert main(["synthesize", "--target", "noon:N=2", "--order", "2,2", "--cutoff", "8",
+                 "--out", str(out)]) == 0
+    space = make_space([8, 8])
+    expect = ftp_schedule(parse_target("noon:N=2", space=space), (2, 2),
+                          budget=CouplingBudget(), space=space)
+    assert out.read_text() == schedule_to_json(expect)
+    manifest = json.loads((tmp_path / "noon.json.manifest.json").read_text())
+    assert manifest["arguments"]["order"] == "2,2"
+    assert "two_osc" not in manifest["arguments"]
+
+
+def _readme_cli_lines():
+    """The `oscsynth ...` command lines of README's CLI quick start, in order."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## Quick start (CLI)", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines()
+            if line.strip().startswith("oscsynth ")]
+
+
+def test_readme_cli_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # in order: a later line may read what an earlier one wrote
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 6
+    for argv in lines:
+        assert main(argv[1:]) == 0, " ".join(argv)
 
 
 @pytest.mark.parametrize("command, order, message", [
     ("plan", "0", "--order '0': interaction orders must be >= 1"),
     ("synthesize", "0", "--order '0': interaction orders must be >= 1"),
-    ("synthesize", "2,2", "--order '2,2': two orders need --two-osc"),
+    ("synthesize", "2,2", "orders (2, 2) do not fit a 1-oscillator support"),
 ], ids=["plan-0", "synthesize-0", "synthesize-2,2"])
 def test_bad_order_exits_one_naming_the_order(command, order, message, tmp_path, capsys):
     argv = [command, "--target", "fock:0,2", "--order", order]
@@ -540,12 +583,13 @@ def test_open_sim_rejects_a_circuit_parameter_the_model_does_not_read(tmp_path, 
     ("amps:-1,1,0\n2,1,0\n", []),
     ("amps:0,1,0\n30,1,0\n", []),
     ("amps:", []),
-    ("noon:", ["--two-osc"]),
-    ("noon:N=0", ["--two-osc"]),
+    ("noon:", ["--order", "1,1"]),
+    ("noon:N=0", ["--order", "1,1"]),
     ("cat2:alpha=1,trunc=-3", []),
-    ("bellcat:alpha1=1,alpha2=1,trunc=-3", ["--two-osc"]),
+    ("bellcat:alpha1=1,alpha2=1,trunc=-3", ["--order", "1,1"]),
+    ("dense:L1=-3,L2=1", ["--order", "1,1", "--cutoff", "8"]),
 ], ids=["fock-negative", "amps-negative", "amps-past-cutoff", "amps-empty", "noon-no-N",
-        "noon-zero", "cat-negative-trunc", "bellcat-negative-trunc"])
+        "noon-zero", "cat-negative-trunc", "bellcat-negative-trunc", "dense-negative-extent"])
 def test_bad_target_specs_exit_one_with_one_error_line(tmp_path, capsys, spec, extra):
     if spec.startswith("amps:"):  # the rest is the amplitude file's text
         amps = tmp_path / "state.csv"

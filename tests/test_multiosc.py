@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscsynth.fockspace import QUBIT_G, make_space
+from oscsynth.fockspace import QUBIT_G, coherent_vector, make_space
 from oscsynth.gates import DispersiveModel, selective_drive_frequency
 from oscsynth.multiosc import (
     annotate_frequencies,
@@ -217,3 +217,70 @@ def test_annotate_frequencies_leaves_the_schedule_unchanged():
     annotate_frequencies(sched, (model, model))
     assert sched == before
     assert vars(sched).keys() == vars(before).keys()
+
+
+def w_noon(N):
+    """(|N,0,0> + |0,N,0> + |0,0,N>) / sqrt(3)."""
+    amps = np.zeros((N + 1,) * 3)
+    amps[N, 0, 0] = amps[0, N, 0] = amps[0, 0, N] = 1.0
+    return TargetState(amps)
+
+
+def ghz_cat(alpha, truncate_at):
+    """|a,a,a> + |-a,-a,-a>, each mode cut after level truncate_at."""
+    plus, minus = coherent_vector(12, alpha), coherent_vector(12, -alpha)
+    amps = (np.einsum("i,j,k->ijk", plus, plus, plus)
+            + np.einsum("i,j,k->ijk", minus, minus, minus))
+    return TargetState(amps[: truncate_at + 1, : truncate_at + 1, : truncate_at + 1])
+
+
+@pytest.mark.parametrize("target, orders, kills, duration_ns", [
+    (w_noon(2), (1, 1, 1), 6, 61.722), (w_noon(2), (2, 2, 2), 3, 40.131),
+    (w_noon(3), (1, 1, 1), 9, 96.052), (w_noon(3), (2, 2, 2), 6, 68.666),
+    (w_noon(4), (1, 1, 1), 12, 129.802), (w_noon(4), (2, 2, 2), 6, 78.792),
+    (ghz_cat(1.0, 4), (1, 1, 1), 112, 907.911), (ghz_cat(1.0, 4), (2, 2, 2), 64, 486.293),
+], ids=["wnoon2-111", "wnoon2-222", "wnoon3-111", "wnoon3-222", "wnoon4-111",
+        "wnoon4-222", "ghz-111", "ghz-222"])
+def test_three_oscillator_targets_compile(target, orders, kills, duration_ns):
+    sched = ftp_schedule(target, orders, budget=CouplingBudget())
+    steps, _ = two_oscillator_plan(target, orders, CouplingBudget())
+    assert steps == sum(s.kind == "njc" for s in sched.steps) == kills
+    assert sched.duration * 1e9 == pytest.approx(duration_ns, abs=0.01)
+    assert sched.initial == (QUBIT_G, 0, 0, 0)
+    assert 1 - replay_fidelity(sched, target) <= 1e-12
+
+
+def test_invert_two_oscillator_checks_every_axis_of_three():
+    sched = invert_two_oscillator(w_noon(2), (2, 2, 2))
+    assert 1 - sched.fidelity <= 1e-12
+    with pytest.raises(ValueError, match=r"\(3, 0, 0\) breaks the \(2, 2, 2\) lattice"):
+        invert_two_oscillator(w_noon(3), (2, 2, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_an_int_order_is_the_one_oscillator_tuple(n):
+    rng = np.random.default_rng(n)
+    target = TargetState(rng.normal(size=3 * n + 2) + 1j * rng.normal(size=3 * n + 2))
+    assert ftp_schedule(target, n) == ftp_schedule(target, (n,))
+
+
+def test_ftp_two_oscillator_is_ftp_schedule():
+    assert ftp_two_oscillator is ftp_schedule
+
+
+def test_annotate_frequencies_sums_one_shift_per_oscillator():
+    target = w_noon(2)
+    sched = ftp_schedule(target, (1, 1, 1))
+    models = [DispersiveModel(order=1, omega_q=TWO_PI * 10e9, omega_o=TWO_PI * f,
+                              g=TWO_PI * 30e6) for f in (5e9, 4.8e9, 4.6e9)]
+    freqs = annotate_frequencies(sched, models)
+    drives = [(s, f) for s, f in zip(sched.steps, freqs) if s.kind == "drive"]
+    assert drives and all(s.selectivity is not None for s, _ in drives)
+    for step, f in drives:
+        # the qubit frequency plus each oscillator's own shift at its label
+        expect = models[0].omega_q + sum(
+            selective_drive_frequency([m], [l]) - m.omega_q
+            for m, l in zip(models, step.selectivity))
+        assert f == pytest.approx(expect, rel=1e-15)
+    with pytest.raises(ValueError, match="one dispersive model per oscillator"):
+        annotate_frequencies(sched, models[:2])

@@ -14,11 +14,9 @@ from oscsynth.planner import (
     scaling_table,
     scaling_table_csv,
     steps_arbitrary,
-    steps_two_oscillator_bound,
     time_ftp,
     time_le,
     time_symmetric,
-    time_two_oscillator,
     two_oscillator_plan,
 )
 from oscsynth.multiosc import ftp_two_oscillator, invert_two_oscillator
@@ -154,14 +152,6 @@ def test_time_ftp_dense_matches_column_sum():
     assert t == pytest.approx(expect)
 
 
-def test_two_oscillator_bound_formula():
-    assert steps_two_oscillator_bound(2, 4, 2, 4) == (
-        base_step_count(2) * 2 + 2 * (4 - 1) + 5 * (4 - 1)
-    )
-    # linear orders reduce to L1 + (L1+1) L2
-    assert steps_two_oscillator_bound(1, 3, 1, 2) == 3 + 4 * 2
-
-
 def test_multi_punch_card_and_plan_consistency():
     sp = make_space([6, 6])
     target = multimode_target(sp, "dense", L1=3, L2=3)
@@ -169,8 +159,6 @@ def test_multi_punch_card_and_plan_consistency():
     card = multi_punch_card(target, (2, 2))
     steps, t = two_oscillator_plan(target, (2, 2), b)
     assert steps == card.total_steps
-    # the dense bound holds once the actual base step count is accounted
-    assert steps <= steps_two_oscillator_bound(2, 3, 2, 3, j_base=card.base_steps)
     assert t > 0
 
 
@@ -228,15 +216,6 @@ def test_punch_card_rejects_a_two_oscillator_target():
     target = multimode_target(make_space([8, 8]), "noon", N=5)
     with pytest.raises(ValueError, match="single-oscillator"):
         punch_card(target, 2)
-
-
-def test_time_two_oscillator_dense_bound():
-    b = CouplingBudget()
-    t = time_two_oscillator(3, 1, 2, 1, b)
-    expect = (3 + 4 * 2) * PI / b.omega
-    expect += sum(PI / (b.g[1] * math.sqrt(j)) for j in range(1, 4))
-    expect += 4 * sum(PI / (b.g[1] * math.sqrt(j)) for j in range(1, 3))
-    assert t == pytest.approx(expect)
 
 
 def test_incommensurate_swap_rates_leave_no_common_zero():

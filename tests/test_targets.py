@@ -226,3 +226,27 @@ def test_parse_target_amps_bad_line(tmp_path):
     p.write_text("0,1.0\n")
     with pytest.raises(TargetParseError):
         parse_target(f"amps:{p}")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("noon:N=-9", "NOON N=-9 must be at least 1"),
+    ("bellcat:alpha1=1,alpha2=1,trunc=-7", "truncation level -7 is below 0"),
+    ("dense:L1=-3,L2=1", "dense extent L1=-3, L2=1 must be at least 0"),
+    ("dense:L1=-9,L2=-9", "dense extent L1=-9, L2=-9 must be at least 0"),
+], ids=["noon-negative-N", "bellcat-negative-trunc", "dense-negative-L1", "dense-negative-both"])
+def test_parse_target_without_a_space_runs_the_kind_checks_first(spec, message):
+    # the default cutoff is picked so that the kind's own check names the
+    # bad value, not the cutoff it would imply
+    with pytest.raises(ValueError, match=message):
+        parse_target(spec)
+
+
+def test_bellcat_at_truncation_zero_picks_its_own_cutoff():
+    target = parse_target("bellcat:alpha1=1,alpha2=1,trunc=0")
+    assert target.amplitudes.shape == (7, 7)
+
+
+def test_dense_rejects_a_negative_extent():
+    for L1, L2 in ((-3, 1), (1, -1)):
+        with pytest.raises(ValueError, match="at least 0"):
+            multimode_target(make_space([8, 8]), "dense", L1=L1, L2=L2)
