@@ -19,13 +19,17 @@ Every step is therefore a set of 2x2 rotations on disjoint (|e>, |g>) index
 pairs. Replays apply steps through the pair-rotation kernel (step_pairs,
 RotationPlan), which costs O(dim) per step and also gives a replay's
 Jacobian (RotationPlan.jacobian), and compilers turn one step's pairs in
-place with rotate; step_propagator, which writes each pair's
-drive_propagator block into a dense matrix, is the one dense reference
-both are tested against.
+place with rotate. All pairs come from one cached table per (space,
+oscillator, order), pair_table. A labelled step is one column of it
+(pair_at), and is turned in scalar arithmetic on its two entries; a table
+step is one gather and one scatter of its pairs around an elementwise
+turn. step_propagator, which writes each pair's drive_propagator block
+into a dense matrix, is the one dense reference both are tested against.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -174,13 +178,31 @@ def pair_table(space: TruncatedSpace, osc_index: int, n: int):
     return eg, weights
 
 
+@functools.lru_cache(maxsize=4096)
+def pair_at(space: TruncatedSpace, osc_index: int, n: int, label: tuple):
+    """(eg, weights) of the one pair {|e,label>, |g,label + n>} of
+    pair_table(space, osc_index, n): a one-column view of the table. The
+    column is the label read in mixed radix, with oscillator osc_index
+    counting d - n levels. A label outside the table raises
+    DimensionError."""
+    eg, weights = pair_table(space, osc_index, n)
+    radix = list(space.osc_cutoffs)
+    radix[osc_index] -= n
+    if len(label) != len(radix) or not all(0 <= l < r for l, r in zip(label, radix)):
+        raise DimensionError(f"label {label} names no order-{n} pair of oscillator "
+                             f"{osc_index} in cutoffs {space.osc_cutoffs}")
+    col = 0
+    for l, r in zip(label, radix):
+        col = col * r + l
+    return eg[:, col : col + 1], weights[col : col + 1]
+
+
 def step_pairs(space: TruncatedSpace, step: PulseStep, semantics: str = "exact"):
     """(eg, weights): the pairs one step rotates, with step_propagator's
     semantics. A drive rotates every {|e,o>, |g,o>} at weight 1; an njc
     step every order-n pair. A step's selectivity label picks out the one
-    pair at that label instead: a drive's always, an njc step's only under
-    ideal-pair semantics. A labelled step's single pair comes from
-    space.index."""
+    pair at that label instead (pair_at): a drive's always, an njc step's
+    only under ideal-pair semantics."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
     label = step.selectivity
@@ -194,10 +216,7 @@ def step_pairs(space: TruncatedSpace, step: PulseStep, semantics: str = "exact")
             label = None
     if label is None:
         return pair_table(space, osc, n)
-    e = space.index(QUBIT_E, *label)
-    top = list(label)
-    top[osc] += n
-    return np.array([[e], [space.index(QUBIT_G, *top)]]), np.array([xi(top[osc], n)])
+    return pair_at(space, osc, n, label)
 
 
 class RotationPlan:
@@ -206,10 +225,10 @@ class RotationPlan:
     phases.
 
     Step k turns each of its pairs (x_e, x_g) by angle areas[k] * weight with
-    drive_propagator's matrix at phases[k]: x_e <- c x_e + off x_g and
-    x_g <- c x_g - conj(off) x_e, where c = cos and off = -i e^{i phase} sin.
-    The signed area enters directly, so negating it gives exactly the
-    inverse rotation.
+    drive_propagator's matrix at phases[k] (_mix). The signed area enters
+    directly, so negating it gives exactly the inverse rotation. A
+    one-pair step turns its two entries in scalar arithmetic; a table step
+    is one gather and one scatter of its pairs around an elementwise turn.
     """
 
     def __init__(self, space: TruncatedSpace, steps, semantics: str = "exact"):
@@ -217,44 +236,97 @@ class RotationPlan:
         self._dim = space.dim
         self._counts = np.array([len(w) for _, w in pairs], dtype=int)
         self._weights = np.concatenate([w for _, w in pairs]) if pairs else np.zeros(0)
-        ends = np.cumsum(self._counts)
-        self._spans = [(eg, slice(end - len(w), end)) for (eg, w), end in zip(pairs, ends)]
+        # per step (eg, k): a one-pair step's flat indices (e, g) and its
+        # place k in self._ones; a table step's (2, pairs) indices and the
+        # slice k of its pairs
+        self._spans, ones, end = [], [], 0
+        for eg, w in pairs:
+            if len(w) == 1:
+                self._spans.append((tuple(eg[:, 0].tolist()), len(ones)))
+                ones.append(end)
+            else:
+                self._spans.append((eg, slice(end, end + len(w))))
+            end += len(w)
+        self._ones = np.array(ones, dtype=int)
 
     def _check(self, state: np.ndarray):
         if state.shape != (self._dim,):
             raise DimensionError(f"state shape {state.shape} does not match dimension {self._dim}")
 
+    def _angles(self, areas, phases):
+        """(theta, phase) of every pair, in step order."""
+        return np.repeat(areas, self._counts) * self._weights, np.repeat(phases, self._counts)
+
+    def _at_ones(self, a):
+        """a's entries (on its last axis) at the one-pair steps, as lists."""
+        return a.take(self._ones, axis=-1).tolist()
+
     def apply(self, state: np.ndarray, areas, phases) -> np.ndarray:
         """Rotate the complex vector state in place, step by step; returns it."""
         self._check(state)
-        cos, off = _turn(np.repeat(areas, self._counts) * self._weights,
-                         np.repeat(phases, self._counts))
+        cos, off = _turn(*self._angles(areas, phases))
+        cos_1, (off_e, off_g) = self._at_ones(cos), self._at_ones(off)
         for eg, k in self._spans:
-            x = state[eg]
-            state[eg] = cos[k] * x + off[:, k] * x[::-1]
+            if isinstance(k, slice):
+                x = state[eg]
+                state[eg] = _mix(cos[k], off[:, k], x, x[::-1])
+            else:
+                e, g = eg
+                x_e, x_g = state.item(e), state.item(g)
+                state[e] = _mix(cos_1[k], off_e[k], x_e, x_g)
+                state[g] = _mix(cos_1[k], off_g[k], x_g, x_e)
         return state
 
     def jacobian(self, initial: np.ndarray, areas, phases):
         """(psi, J): apply's replay psi of a copy of initial and J = [d psi /
         d areas, d psi / d phases], (dim, 2 steps), from one forward sweep of
-        a (dim, 1 + 2 steps) block of psi and its columns. Step k turns the
-        block, then writes its own two columns from its pairs' values x
-        before the turn: in area, weight times the rotation at theta + pi/2;
-        in phase, the off-diagonals times (i, -i). The gradient of 1 - |z|,
-        z = <target|psi>, is Re(-conj(z) / |z| * target^H J)."""
+        a (dim, 1 + 2 steps) block of psi and its columns. Step s writes its
+        own two columns from its pairs' values x of psi before the turn, then
+        turns psi, the earlier columns and its area column. The turn's slope
+        in theta is U G, G = -i H its generator, so the area column starts as
+        weight * G x, G (x_e, x_g) = -i (e^{i phase} x_g, e^{-i phase} x_e).
+        The phase column is the slope of the off-diagonals, (i, -i) times
+        off, applied to x; it is not turned. A one-pair step turns psi's two
+        entries in apply's scalar arithmetic, so psi is bitwise apply's. The
+        gradient of 1 - |z|, z = <target|psi>, is Re(-conj(z) / |z| *
+        target^H J).
+
+        The block is dim x (1 + 2 steps) complex: for the GHZ cat alpha =
+        sqrt(2) at orders (2, 2, 2), 2662 x 1465, about 62 MB."""
         self._check(np.asarray(initial))
         block = np.zeros((self._dim, 1 + 2 * len(self._spans)), dtype=complex)
         block[:, 0] = initial
-        theta = np.repeat(areas, self._counts) * self._weights
-        cos, off = _turn(theta, np.repeat(phases, self._counts))
-        cos_d, off_d = _turn(theta + math.pi / 2, np.repeat(phases, self._counts))
+        theta, phase = self._angles(areas, phases)
+        cos, off = _turn(theta, phase)
+        lift = -1j * np.exp(1j * phase) * self._weights  # weight * G, on x_g
+        lift = np.stack([lift, -lift.conj()])
+        slope = off * _PHASE_SLOPE  # d off / d phase
+        cos_1, (off_e, off_g), (lift_e, lift_g) = map(self._at_ones, (cos, off, lift))
+        off_1 = off.take(self._ones, axis=1)[:, :, None]
         for s, (eg, k) in enumerate(self._spans):
-            x = block[eg, : 1 + 2 * s]  # psi and columns 0..s-1: (2, pairs, 1 + 2 s)
-            block[eg, : 1 + 2 * s] = cos[k, None] * x + off[:, k, None] * x[::-1]
-            x = x[:, :, 0]
-            block[eg, 1 + 2 * s] = self._weights[k] * (cos_d[k] * x + off_d[:, k] * x[::-1])
-            block[eg, 2 + 2 * s] = 1j * off[:, k] * x[::-1] * [[1], [-1]]
+            c = 1 + 2 * s
+            if isinstance(k, slice):
+                sub = block[:, : c + 2]
+                x = sub.take(eg, axis=0)  # (2, pairs, c + 2); the last two columns are 0
+                x_swap = x[::-1, :, 0]
+                x[:, :, c] = lift[:, k] * x_swap
+                y = _mix(cos[k, None], off[:, k, None], x, x[::-1])
+                y[:, :, c + 1] = slope[:, k] * x_swap
+                sub[eg] = y
+            else:
+                e, g = eg
+                x_e, x_g = block.item(e, 0), block.item(g, 0)
+                block[e, 0] = _mix(cos_1[k], off_e[k], x_e, x_g)
+                block[g, 0] = _mix(cos_1[k], off_g[k], x_g, x_e)
+                block[e, c], block[g, c] = lift_e[k] * x_g, lift_g[k] * x_e
+                rows = block[e : g + 1 : g - e, 1 : c + 1]  # rows e and g (e < g), a view
+                rows[:] = _mix(cos_1[k], off_1[:, k], rows, rows[::-1])
+                block[e, c + 1], block[g, c + 1] = 1j * off_e[k] * x_g, -1j * off_g[k] * x_e
         return block[:, 0], np.concatenate([block[:, 1::2], block[:, 2::2]], axis=1)
+
+
+#: d off / d phase = (i, -i) times off, on off's (<e|U|g>, <g|U|e>) rows
+_PHASE_SLOPE = np.array([[1j], [-1j]])
 
 
 def _turn(theta, phase):
@@ -265,14 +337,29 @@ def _turn(theta, phase):
     return np.cos(theta), np.stack([off, -off.conj()])
 
 
+def _mix(cos, off, x, y):
+    """cos x + off y: one side of the 2x2 turn of pairs (x, y), for
+    scalars or arrays. A pair turns to (_mix(cos, off_e, x_e, x_g),
+    _mix(cos, off_g, x_g, x_e)); a stacked (2, ...) array x of pairs turns
+    in one call, _mix(cos, off, x, x[::-1])."""
+    return cos * x + off * y
+
+
 def rotate(state: np.ndarray, eg: np.ndarray, weights: np.ndarray, area: float,
            phase: float) -> np.ndarray:
     """Turn the pairs eg of state in place, each by angle area * weight,
     with RotationPlan's matrix at phase; returns state. A negated area
-    turns them back."""
+    turns them back. One pair turns in scalar arithmetic."""
+    if len(weights) == 1:
+        (e, g), theta = eg[:, 0].tolist(), area * weights.item(0)
+        cos, off_e = math.cos(theta), -1j * math.sin(theta) * cmath.exp(1j * phase)
+        x_e, x_g = state.item(e), state.item(g)
+        state[e] = _mix(cos, off_e, x_e, x_g)
+        state[g] = _mix(cos, -off_e.conjugate(), x_g, x_e)
+        return state
     cos, off = _turn(area * weights, phase)
     x = state[eg]
-    state[eg] = cos * x + off * x[::-1]
+    state[eg] = _mix(cos, off, x, x[::-1])
     return state
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import gates
 from .fockspace import QUBIT_E, QUBIT_G, DimensionError, TruncatedSpace, fidelity, make_space
-from .gates import PulseStep, xi
+from .gates import PulseStep
 from .targets import TargetState, support
 
 TWOPI = 2.0 * math.pi
@@ -200,10 +200,9 @@ def _kill(space: TruncatedSpace, state: np.ndarray, osc_index: int, src: tuple,
     order-n pair and a plain drive; a selective kill takes a full swap of
     the one pair at src and a drive selective on src, both labelled src.
     """
-    top = src[:osc_index] + (src[osc_index] + n,) + src[osc_index + 1:]
-    g_top = space.index(QUBIT_G, *top)
-    e_src = space.index(QUBIT_E, *src)
-    g_src = space.index(QUBIT_G, *src)
+    eg, weight = gates.pair_at(space, osc_index, n, src)  # {|e, src>, |g, top>}
+    e_src, g_top = eg[:, 0].tolist()
+    g_src = gates.pair_at(space, 0, 0, src)[0].item(1)  # {|e, src>, |g, src>}
     label = src if selective else None
     if selective:
         # a full swap clears the whole top amplitude (nothing is parked in |e>)
@@ -211,10 +210,11 @@ def _kill(space: TruncatedSpace, state: np.ndarray, osc_index: int, src: tuple,
     else:
         theta, chi = _solve_kill_angle(state[g_top], state[e_src])
         phase = -chi
-    swap = PulseStep("njc", theta / xi(top[osc_index], n), phase, osc_index=osc_index,
-                     order=n, selectivity=label)
+    swap = PulseStep("njc", theta / weight.item(0), phase, osc_index=osc_index, order=n,
+                     selectivity=label)
     gates.rotate(state, *gates.step_pairs(space, swap, "ideal-pair"), -swap.area, swap.phase)
     if abs(state[g_top]) > 1e-10:
+        top = src[:osc_index] + (src[osc_index] + n,) + src[osc_index + 1:]
         raise RuntimeError(f"failed to clear |{_ket(QUBIT_G, top)}> during inversion")
     y, chi = _solve_kill_angle(state[e_src], state[g_src])
     drive = PulseStep("drive", y, chi, selectivity=label)

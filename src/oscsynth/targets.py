@@ -272,8 +272,10 @@ def parse_target(spec: str, space: TruncatedSpace = None) -> TargetState:
     trunc=<i> on cat/bellcat specs caps the Fock support. Without a space,
     each kind picks a cutoff that holds its support, at least 7 for the
     two-oscillator kinds, so that a bad N, trunc or extent fails the kind's
-    own check. A missing key, and a fock/amps level out of range or absent,
-    raise TargetParseError.
+    own check. A space with another mode count than the kind's (one for
+    cat, gkp, fock and amps, two for noon, bellcat and dense) raises
+    DimensionError naming both. A missing key, and a fock/amps level out
+    of range or absent, raise TargetParseError.
     """
     spec = spec.strip()
     if ":" in spec:
@@ -286,6 +288,9 @@ def parse_target(spec: str, space: TruncatedSpace = None) -> TargetState:
         nonlocal space
         if space is None:
             space = make_space([default_cut] * n_osc)
+        elif space.n_osc != n_osc:
+            raise DimensionError(f"{head} targets need a {n_osc}-oscillator space, "
+                                 f"got a {space.n_osc}-oscillator space")
         return space
 
     if head in ("cat2", "cat4"):

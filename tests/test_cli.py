@@ -148,7 +148,7 @@ def test_two_osc_rejects_three_orders(command, tmp_path, capsys):
         argv += ["--out", str(tmp_path / "s.json")]
     assert main(argv) == 1
     assert capsys.readouterr().err == (
-        "error: multimode targets need a two-oscillator space\n")
+        "error: noon targets need a 2-oscillator space, got a 3-oscillator space\n")
     assert not (tmp_path / "s.json").exists()
 
 
@@ -196,7 +196,7 @@ def test_readme_cli_quick_start_runs(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("command, order, message", [
     ("plan", "0", "--order '0': interaction orders must be >= 1"),
     ("synthesize", "0", "--order '0': interaction orders must be >= 1"),
-    ("synthesize", "2,2", "orders (2, 2) do not fit a 1-oscillator support"),
+    ("synthesize", "2,2", "fock targets need a 1-oscillator space, got a 2-oscillator space"),
 ], ids=["plan-0", "synthesize-0", "synthesize-2,2"])
 def test_bad_order_exits_one_naming_the_order(command, order, message, tmp_path, capsys):
     argv = [command, "--target", "fock:0,2", "--order", order]

@@ -19,8 +19,11 @@ from oscsynth.gates import (
     conditional_phase_space_gate,
     conditional_squeezing_via_sidebands,
     drive_propagator,
+    pair_table,
+    rotate,
     selective_drive_frequency,
     shift_coefficient,
+    step_pairs,
     step_propagator,
     stirling_first,
     xi,
@@ -248,6 +251,56 @@ def test_schedule_replay_matches_dense_product(cutoffs, semantics):
     assert np.array_equal(apply_schedule(PulseSchedule(steps=[], space=sp), psi), psi)
     with pytest.raises(DimensionError):
         apply_schedule(PulseSchedule(steps=steps, space=sp), np.append(psi, 0.0))
+
+
+@pytest.mark.parametrize("cutoffs", [(9,), (5, 7), (3, 4, 3)], ids=str)
+def test_one_pair_steps_match_the_dense_oracle(cutoffs):
+    # labelled drives and ideal-pair labelled njc steps turn one pair in
+    # scalar arithmetic: rotate, apply and jacobian's psi alike
+    sp = make_space(cutoffs)
+    rng = np.random.default_rng(5 * sum(cutoffs))
+    cases = []
+    for area in (0.61, -1.37):
+        phase = float(rng.uniform(-math.pi, math.pi))
+        sel = tuple(int(rng.integers(0, d)) for d in cutoffs)
+        cases.append(PulseStep("drive", area, phase, selectivity=sel))
+        for osc, d in enumerate(cutoffs):
+            for n in range(1, d):
+                label = sel[:osc] + (int(rng.integers(0, d - n)),) + sel[osc + 1:]
+                cases.append(PulseStep("njc", area, phase, osc_index=osc, order=n,
+                                       selectivity=label))
+    for step in cases:
+        eg, weights = step_pairs(sp, step, "ideal-pair")
+        assert eg.shape == (2, 1) and weights.shape == (1,)
+        psi = _random_state(rng, sp.dim)
+        ref = step_propagator(sp, step, "ideal-pair") @ psi
+        plan = RotationPlan(sp, [step], "ideal-pair")
+        for out in (rotate(psi.copy(), eg, weights, step.area, step.phase),
+                    plan.apply(psi.copy(), [step.area], [step.phase]),
+                    plan.jacobian(psi, [step.area], [step.phase])[0]):
+            assert np.abs(out - ref).max() < 1e-14, step
+
+
+def test_a_label_names_its_pair_table_column():
+    sp = make_space([4, 5])
+    for osc, n in [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)]:
+        eg, weights = pair_table(sp, osc, n)
+        for label in np.ndindex(*sp.osc_cutoffs):
+            if n == 0:
+                step = PulseStep("drive", 0.3, selectivity=label)
+            else:
+                step = PulseStep("njc", 0.3, osc_index=osc, order=n, selectivity=label)
+            if label[osc] >= sp.osc_cutoffs[osc] - n:  # |g, label + n> is past the cutoff
+                with pytest.raises(DimensionError):
+                    step_pairs(sp, step, "ideal-pair")
+                continue
+            top = list(label)
+            top[osc] += n
+            col = np.flatnonzero(eg[0] == sp.index(QUBIT_E, *label))
+            assert len(col) == 1 and eg[1, col[0]] == sp.index(QUBIT_G, *top)
+            pair, weight = step_pairs(sp, step, "ideal-pair")
+            assert np.array_equal(pair, eg[:, col]) and np.array_equal(weight, weights[col])
+            assert np.shares_memory(pair, eg) and weight[0] == xi(top[osc], n)
 
 
 def _gradient_case(case, rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oscsynth.fockspace import make_space
+from oscsynth.fockspace import DimensionError, make_space
 from oscsynth.targets import (
     GKP_SPACING,
     TargetParseError,
@@ -250,3 +250,25 @@ def test_dense_rejects_a_negative_extent():
     for L1, L2 in ((-3, 1), (1, -1)):
         with pytest.raises(ValueError, match="at least 0"):
             multimode_target(make_space([8, 8]), "dense", L1=L1, L2=L2)
+
+
+@pytest.mark.parametrize("kind, body", [
+    ("fock", "0,2"),
+    ("amps", None),
+    ("cat2", "alpha=1"),
+    ("cat4", "alpha=1"),
+    ("gkp", "kappa=0.3,r=0.8,P=2"),
+])
+def test_a_single_oscillator_kind_rejects_a_two_mode_space(kind, body, tmp_path):
+    if body is None:
+        (tmp_path / "a.csv").write_text("0,1,0\n2,1,0\n")
+        body = str(tmp_path / "a.csv")
+    message = f"^{kind} targets need a 1-oscillator space, got a 2-oscillator space$"
+    with pytest.raises(DimensionError, match=message):
+        parse_target(f"{kind}:{body}", space=make_space([8, 8]))
+
+
+def test_a_two_mode_kind_rejects_a_one_mode_space():
+    with pytest.raises(DimensionError,
+                       match="^noon targets need a 2-oscillator space, got a 1-oscillator space$"):
+        parse_target("noon:N=2", space=make_space([8]))
