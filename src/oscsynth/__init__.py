@@ -6,11 +6,6 @@ from .fockspace import (
     TruncatedSpace,
     WignerGrid,
     fidelity,
-    ladder,
-    ladder_power,
-    displacement,
-    squeezing,
-    rotation,
     make_space,
     wigner,
 )

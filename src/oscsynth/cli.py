@@ -27,8 +27,7 @@ import numpy as np
 from . import __version__, opensystem
 from .fockspace import make_space, ptrace_qubit, wigner
 from .planner import (base_step_count, punch_card, scaling_table, scaling_table_csv,
-                      steps_arbitrary, time_ftp, time_le, time_symmetric,
-                      two_oscillator_plan)
+                      steps_arbitrary, time_ftp, time_le, two_oscillator_plan)
 from .synthesis import (DEFAULT_G, DEFAULT_OMEGA, CouplingBudget,
                         ftp_schedule, invert_symmetric, replay_fidelity,
                         schedule_from_json, schedule_to_json)
@@ -259,9 +258,7 @@ def cmd_plan(args) -> int:
 def cmd_estimate(args) -> int:
     if args.mode == "symmetric":
         budget = CouplingBudget(omega=args.omega, g={args.n: args.g})
-        t = time_symmetric(args.K, args.n, budget)
-        text = f"K,n,omega_radps,g_radps,T_ns\n{args.K},{args.n}," \
-               f"{args.omega:.12g},{args.g:.12g},{t * 1e9:.12g}\n"
+        text = scaling_table_csv(scaling_table([args.n], [budget], [args.K]))
     else:
         g1 = TWOPI * 100e6
         if args.mode == "figure2":

@@ -95,31 +95,6 @@ def _single_ladder(dim: int) -> np.ndarray:
     return a
 
 
-def _embed_osc(space: TruncatedSpace, osc_index: int, op: np.ndarray) -> np.ndarray:
-    """Kron an oscillator-local operator into the full space (identity elsewhere)."""
-    mats = [np.eye(2, dtype=complex)]
-    for i, d in enumerate(space.osc_cutoffs):
-        mats.append(op if i == osc_index else np.eye(d, dtype=complex))
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-def ladder(space: TruncatedSpace, osc_index: int = 0) -> np.ndarray:
-    """Annihilation operator a on the indicated oscillator, identity elsewhere."""
-    return _embed_osc(space, osc_index, _single_ladder(space.osc_cutoffs[osc_index]))
-
-
-def ladder_power(space: TruncatedSpace, osc_index: int, n: int) -> np.ndarray:
-    """a^n on oscillator osc_index. a†^n is the conjugate transpose."""
-    d = space.osc_cutoffs[osc_index]
-    if not 1 <= n < d:
-        raise DimensionError(f"ladder power {n} must satisfy 1 <= n < cutoff {d}")
-    single = np.linalg.matrix_power(_single_ladder(d), n)
-    return _embed_osc(space, osc_index, single)
-
-
 def _truncation_guard(d, photons, what):
     if photons > d / 4:
         warnings.warn(
@@ -141,37 +116,6 @@ def _ladder_exp(d: int, n: int, zeta: complex) -> np.ndarray:
     """exp(zeta a†^n − zeta* a^n) on one d-level oscillator, from one eigh."""
     lam, v = _ladder_eigh(d, n, zeta)
     return (v * np.exp(-1j * lam)) @ v.conj().T
-
-
-def displacement(space: TruncatedSpace, osc_index: int, alpha: complex) -> np.ndarray:
-    """Displacement operator D(alpha) = exp(alpha a† − alpha* a)."""
-    d = space.osc_cutoffs[osc_index]
-    _truncation_guard(d, abs(alpha) ** 2, "displacement")
-    return _embed_osc(space, osc_index, _ladder_exp(d, 1, alpha))
-
-
-def squeezing(space: TruncatedSpace, osc_index: int, n: int, zeta: complex) -> np.ndarray:
-    """Order-n squeezing S_n(zeta) = exp(zeta a†^n − zeta* a^n).
-
-    n=1 reproduces a displacement, n=2 the usual squeeze operator.
-    """
-    if n < 1:
-        raise DimensionError("squeezing order must be >= 1")
-    return _embed_osc(space, osc_index, _ladder_exp(space.osc_cutoffs[osc_index], n, zeta))
-
-
-def rotation(space: TruncatedSpace, osc_index: int, angle: float) -> np.ndarray:
-    """Phase rotation exp(i angle a†a): diagonal entries e^{i angle l}."""
-    d = space.osc_cutoffs[osc_index]
-    diag = np.exp(1j * angle * np.arange(d))
-    return _embed_osc(space, osc_index, np.diag(diag))
-
-
-def normalize(vec: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(vec)
-    if nrm == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return vec / nrm
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -93,7 +93,6 @@ class IntegrationError(RuntimeError):
 # key = value config files
 
 
-_PARAM_KEYS = {"g_2": "g2"}  # config-file aliases of CircuitParams fields
 _UNIT = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 
@@ -133,7 +132,6 @@ def load_params(path) -> CircuitParams:
     kw = {}
     for key, val in _read_kv_file(path).items():
         base, scale = _split_unit(key)
-        base = _PARAM_KEYS.get(base, base)
         if base not in {f.name for f in fields(CircuitParams)}:
             raise ValueError(f"unknown circuit parameter {key!r}")
         val = float(val)

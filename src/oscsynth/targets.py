@@ -9,6 +9,7 @@ columns from the support itself.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,7 +33,8 @@ class TargetParseError(ValueError):
 
 @dataclass
 class TargetState:
-    """Normalized oscillator target with symmetry metadata.
+    """Normalized oscillator target with symmetry metadata. A NaN or
+    infinite amplitude raises ValueError.
 
     For multi-oscillator targets, amplitudes has one axis per oscillator,
     (D1, ..., DM), and the symmetry fields are not checked.
@@ -45,6 +47,8 @@ class TargetState:
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        if not np.isfinite(self.amplitudes).all():
+            raise ValueError("target amplitudes must be finite, got NaN or inf")
         nrm = np.linalg.norm(self.amplitudes)
         if nrm == 0:
             raise ValueError("target state cannot be zero")
@@ -185,9 +189,9 @@ def effective_squeezing(state) -> SqueezingMetrics:
 
 
 def multimode_target(space: TruncatedSpace, kind: str, **kw) -> TargetState:
-    """Two-oscillator targets: noon(N), bell_cat(alpha1, alpha2[, truncate_at]),
-    dense(L1, L2), or custom(amplitudes). N < 1, a negative truncate_at
-    and a negative L1 or L2 raise ValueError."""
+    """Two-oscillator targets: noon(N), bell_cat(alpha1, alpha2[, truncate_at])
+    or dense(L1, L2). N < 1, a negative truncate_at and a negative L1 or L2
+    raise ValueError."""
     if space.n_osc != 2:
         raise DimensionError("multimode targets need a two-oscillator space")
     d1, d2 = space.osc_cutoffs
@@ -223,12 +227,18 @@ def multimode_target(space: TruncatedSpace, kind: str, **kw) -> TargetState:
             raise DimensionError("dense extent outside cutoffs")
         amps[: L1 + 1, : L2 + 1] = 1.0
         label = f"dense:L1={L1},L2={L2}"
-    elif kind == "custom":
-        amps = np.asarray(kw["amplitudes"], dtype=complex)
-        label = kw.get("label", "custom")
     else:
         raise ValueError(f"unknown multimode kind {kind!r}")
     return TargetState(amps, label=label)
+
+
+def _finite(kv: dict, key: str, spec: str, kind):
+    """kind(kv[key]), or TargetParseError naming key if it is NaN or
+    infinite. A missing key raises KeyError."""
+    value = kind(kv[key])
+    if not cmath.isfinite(value):
+        raise TargetParseError(f"{key}={kv[key]} is not finite in {spec!r}")
+    return value
 
 
 def _parse_kv(body: str, spec: str) -> dict:
@@ -274,8 +284,9 @@ def parse_target(spec: str, space: TruncatedSpace = None) -> TargetState:
     two-oscillator kinds, so that a bad N, trunc or extent fails the kind's
     own check. A space with another mode count than the kind's (one for
     cat, gkp, fock and amps, two for noon, bellcat and dense) raises
-    DimensionError naming both. A missing key, and a fock/amps level out
-    of range or absent, raise TargetParseError.
+    DimensionError naming both. A missing key, a NaN or infinite alpha,
+    alpha1, alpha2, kappa or r, and a fock/amps level out of range or
+    absent, raise TargetParseError.
     """
     spec = spec.strip()
     if ":" in spec:
@@ -296,7 +307,7 @@ def parse_target(spec: str, space: TruncatedSpace = None) -> TargetState:
     if head in ("cat2", "cat4"):
         kv = _parse_kv(body, spec)
         try:
-            alpha = complex(kv["alpha"])
+            alpha = _finite(kv, "alpha", spec, complex)
         except KeyError:
             raise TargetParseError(f"{head} needs alpha= (at {spec!r})")
         trunc = int(kv["trunc"]) if "trunc" in kv else None
@@ -306,7 +317,9 @@ def parse_target(spec: str, space: TruncatedSpace = None) -> TargetState:
     if head == "gkp":
         kv = _parse_kv(body, spec)
         try:
-            kappa, r, P = float(kv["kappa"]), float(kv["r"]), int(kv["P"])
+            kappa = _finite(kv, "kappa", spec, float)
+            r = _finite(kv, "r", spec, float)
+            P = int(kv["P"])
         except KeyError as exc:
             raise TargetParseError(f"gkp needs kappa=, r=, P= (missing {exc})")
         sp = need_space(1, 160)
@@ -344,7 +357,8 @@ def parse_target(spec: str, space: TruncatedSpace = None) -> TargetState:
     if head == "bellcat":
         kv = _parse_kv(body, spec)
         try:
-            a1, a2 = complex(kv["alpha1"]), complex(kv["alpha2"])
+            a1 = _finite(kv, "alpha1", spec, complex)
+            a2 = _finite(kv, "alpha2", spec, complex)
         except KeyError:
             raise TargetParseError(f"bellcat needs alpha1=, alpha2= ({spec!r})")
         trunc = int(kv["trunc"]) if "trunc" in kv else None

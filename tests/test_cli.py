@@ -588,8 +588,16 @@ def test_open_sim_rejects_a_circuit_parameter_the_model_does_not_read(tmp_path, 
     ("cat2:alpha=1,trunc=-3", []),
     ("bellcat:alpha1=1,alpha2=1,trunc=-3", ["--order", "1,1"]),
     ("dense:L1=-3,L2=1", ["--order", "1,1", "--cutoff", "8"]),
+    ("amps:0,1,0\n2,nan,0\n", []),
+    ("gkp:kappa=nan,r=0.5,P=2", []),
+    ("gkp:kappa=0.3,r=inf,P=2", []),
+    ("cat2:alpha=inf", []),
+    ("cat2:alpha=nan", []),
+    ("bellcat:alpha1=inf,alpha2=1", ["--order", "1,1"]),
 ], ids=["fock-negative", "amps-negative", "amps-past-cutoff", "amps-empty", "noon-no-N",
-        "noon-zero", "cat-negative-trunc", "bellcat-negative-trunc", "dense-negative-extent"])
+        "noon-zero", "cat-negative-trunc", "bellcat-negative-trunc", "dense-negative-extent",
+        "amps-nan", "gkp-kappa-nan", "gkp-r-inf", "cat-alpha-inf", "cat-alpha-nan",
+        "bellcat-alpha1-inf"])
 def test_bad_target_specs_exit_one_with_one_error_line(tmp_path, capsys, spec, extra):
     if spec.startswith("amps:"):  # the rest is the amplitude file's text
         amps = tmp_path / "state.csv"

@@ -13,16 +13,12 @@ from oscsynth.fockspace import (
     QUBIT_E,
     QUBIT_G,
     DimensionError,
+    _ladder_exp,
+    _single_ladder,
     coherent_vector,
-    displacement,
     fidelity,
-    ladder,
-    ladder_power,
     make_space,
-    normalize,
     ptrace_qubit,
-    rotation,
-    squeezing,
     wigner,
 )
 
@@ -31,6 +27,16 @@ def g_block(space, vec_full):
     """Oscillator amplitudes in the qubit-ground block of a full-space vector."""
     d = space.osc_dim
     return vec_full[QUBIT_G * d:(QUBIT_G + 1) * d]
+
+
+def unit(vec):
+    return vec / np.linalg.norm(vec)
+
+
+def displaced_vacuum(d, alpha):
+    """D(alpha)|0> on one d-level oscillator: the first column of the
+    single-mode exponential."""
+    return _ladder_exp(d, 1, alpha)[:, 0]
 
 
 def test_index_layout_qubit_slowest():
@@ -59,45 +65,37 @@ def test_index_rejects_out_of_range():
 
 
 def test_ladder_commutator():
-    sp = make_space([30])
-    a = ladder(sp)
+    d = 30
+    a = _single_ladder(d)
     comm = a @ a.conj().T - a.conj().T @ a
-    # [a, a†] = 1 except in the top truncated corner of each qubit block
-    d = sp.osc_cutoffs[0]
-    for q in (QUBIT_E, QUBIT_G):
-        block = comm[q * d:(q + 1) * d, q * d:(q + 1) * d]
-        assert np.allclose(np.diag(block)[:-1], 1.0)
-        assert np.isclose(block[-1, -1], 1.0 - d)
+    # [a, a†] = 1 except in the top truncated corner
+    assert np.allclose(np.diag(comm)[:-1], 1.0)
+    assert np.isclose(comm[-1, -1], 1.0 - d)
+    assert np.allclose(comm - np.diag(np.diag(comm)), 0.0)
 
 
 def test_displacement_poisson_law():
-    sp = make_space([40])
     alpha = 1.3 - 0.4j
-    D = displacement(sp, 0, alpha)
-    out = D @ sp.basis_state(QUBIT_G, 0)
-    probs = np.abs(g_block(sp, out)) ** 2
+    probs = np.abs(displaced_vacuum(40, alpha)) ** 2
     nbar = abs(alpha) ** 2
     for k in range(12):
         poisson = math.exp(-nbar) * nbar ** k / math.factorial(k)
         assert probs[k] == pytest.approx(poisson, abs=1e-10)
-    # qubit part untouched
-    assert np.allclose(out[: sp.osc_dim], 0.0)
 
 
 def test_coherent_vector_matches_displacement():
-    sp = make_space([50])
+    d = 50
     alpha = 0.9 + 0.7j
-    via_op = displacement(sp, 0, alpha) @ sp.basis_state(QUBIT_G, 0)
-    direct = coherent_vector(sp.osc_cutoffs[0], alpha)
-    assert fidelity(direct, g_block(sp, via_op)) == pytest.approx(1.0, abs=1e-9)
+    assert fidelity(coherent_vector(d, alpha), displaced_vacuum(d, alpha)) == \
+        pytest.approx(1.0, abs=1e-9)
 
 
 def test_squeezing_reduces_x_variance():
-    sp = make_space([60])
+    d = 60
     r = 0.5
-    # S_2(-r/2) squeezes the x quadrature by e^{-2r}
-    out = squeezing(sp, 0, 2, -r / 2) @ sp.basis_state(QUBIT_G, 0)
-    a = ladder(sp)
+    # S_2(-r/2) squeezes the x quadrature by e^{-2r}, as in gkp_zero
+    out = _ladder_exp(d, 2, -r / 2)[:, 0]
+    a = _single_ladder(d)
     x = (a + a.conj().T) / math.sqrt(2.0)
     var = np.real(out.conj() @ (x @ x) @ out) - np.real(out.conj() @ x @ out) ** 2
     assert var == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-6)
@@ -106,35 +104,11 @@ def test_squeezing_reduces_x_variance():
 @pytest.mark.parametrize("d", [8, 40])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ladder_exponentials_match_expm(n, d):
-    # the eigh exponentials against scipy's expm of the same generator,
-    # embedded with the qubit
-    sp = make_space([d])
+    # the eigh exponential against scipy's expm of the same generator
     an = np.linalg.matrix_power(np.diag(np.sqrt(np.arange(1.0, d)), 1), n)
     for zeta in (0.3 + 0.2j, -0.15 + 0.4j, 1.1 - 0.7j):
-        oracle = np.kron(np.eye(2), expm(zeta * an.conj().T - np.conj(zeta) * an))
-        assert np.abs(squeezing(sp, 0, n, zeta) - oracle).max() < 1e-12
-        if n == 1:
-            assert np.abs(displacement(sp, 0, zeta) - oracle).max() < 1e-12
-
-
-def test_rotation_phases_fock_levels():
-    sp = make_space([8])
-    theta = 0.37
-    R = rotation(sp, 0, theta)
-    for k in range(8):
-        v = sp.basis_state(QUBIT_G, k)
-        out = R @ v
-        assert out[sp.index(QUBIT_G, k)] == pytest.approx(np.exp(1j * theta * k))
-
-
-def test_ladder_power_matches_repeated_ladder():
-    sp = make_space([12])
-    a = ladder(sp)
-    assert np.allclose(ladder_power(sp, 0, 3), a @ a @ a)
-    with pytest.raises(DimensionError):
-        ladder_power(sp, 0, 12)
-    with pytest.raises(DimensionError):
-        ladder_power(sp, 0, 0)
+        oracle = expm(zeta * an.conj().T - np.conj(zeta) * an)
+        assert np.abs(_ladder_exp(d, n, zeta) - oracle).max() < 1e-12
 
 
 def test_fidelity_amplitude_convention():
@@ -155,21 +129,21 @@ def test_fidelity_rejects_vectors_of_different_length():
 
 def test_fidelity_density_matrix_agrees_with_pure():
     rng = np.random.default_rng(7)
-    a = normalize(rng.normal(size=6) + 1j * rng.normal(size=6))
-    b = normalize(rng.normal(size=6) + 1j * rng.normal(size=6))
+    a = unit(rng.normal(size=6) + 1j * rng.normal(size=6))
+    b = unit(rng.normal(size=6) + 1j * rng.normal(size=6))
     rho = np.outer(a, a.conj())
     assert fidelity(a, b) == pytest.approx(fidelity(rho, b), abs=1e-12)
 
 
 def test_ptrace_qubit():
     sp = make_space([4])
-    v = normalize(sp.basis_state(QUBIT_G, 0) + sp.basis_state(QUBIT_G, 2))
+    v = unit(sp.basis_state(QUBIT_G, 0) + sp.basis_state(QUBIT_G, 2))
     rho = ptrace_qubit(sp, v)
     assert rho.shape == (4, 4)
     assert np.trace(rho) == pytest.approx(1.0)
     assert rho[0, 2] == pytest.approx(0.5)
     # entangled with the qubit: off-diagonal coherence vanishes
-    w = normalize(sp.basis_state(QUBIT_G, 0) + sp.basis_state(QUBIT_E, 2))
+    w = unit(sp.basis_state(QUBIT_G, 0) + sp.basis_state(QUBIT_E, 2))
     rho2 = ptrace_qubit(sp, w)
     assert rho2[0, 2] == pytest.approx(0.0)
     assert rho2[0, 0] == pytest.approx(0.5)
@@ -192,8 +166,7 @@ class TestWigner:
         assert grid.values[i0, i0] == pytest.approx(-1.0 / math.pi, rel=1e-6)
 
     def test_integral_near_one(self):
-        v = displacement(self.sp, 0, 0.8) @ self.sp.basis_state(QUBIT_G, 0)
-        grid = wigner(g_block(self.sp, v), self.ax, self.ax)
+        grid = wigner(displaced_vacuum(self.sp.osc_cutoffs[0], 0.8), self.ax, self.ax)
         assert grid.integral() == pytest.approx(1.0, abs=1e-3)
 
     def test_density_input_matches_pure(self):
@@ -274,6 +247,5 @@ def test_wigner_integral_rejects_an_uneven_axis(axis):
     st.floats(min_value=-1.2, max_value=1.2, allow_nan=False),
 )
 def test_displacement_unitary(re, im):
-    sp = make_space([30])
-    D = displacement(sp, 0, re + 1j * im)
-    assert np.allclose(D @ D.conj().T, np.eye(sp.dim), atol=1e-8)
+    D = _ladder_exp(30, 1, re + 1j * im)
+    assert np.allclose(D @ D.conj().T, np.eye(30), atol=1e-8)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oscsynth.fockspace import (QUBIT_E, QUBIT_G, DimensionError, fidelity, ladder_power,
+from oscsynth.fockspace import (QUBIT_E, QUBIT_G, DimensionError, _single_ladder, fidelity,
                                 make_space)
 from oscsynth.gates import (
     DispersiveModel,
@@ -190,7 +190,9 @@ def _generator(sp, step, semantics):
     a labelled njc step under ideal-pair semantics."""
     osc, n = (0, 0) if step.kind == "drive" else (step.osc_index, step.order)
     sigma_plus = np.kron([[0, 1], [0, 0]], np.eye(sp.osc_dim))  # |e><g|
-    an = ladder_power(sp, osc, n) if n else np.eye(sp.dim)
+    an = np.eye(2)  # a^n on oscillator osc, identity on the qubit and the other modes
+    for i, d in enumerate(sp.osc_cutoffs):
+        an = np.kron(an, np.linalg.matrix_power(_single_ladder(d), n if i == osc else 0))
     h = np.exp(1j * step.phase) * sigma_plus @ an
     h = h + h.conj().T
     label = step.selectivity

@@ -774,10 +774,12 @@ def test_every_circuit_parameter_changes_the_model(name):
 
 
 def test_load_params_rejects_an_unread_coupling(tmp_path):
+    # g_e1 is a coupling the model never read; g_2 an old spelling of g2
     p = tmp_path / "circuit.cfg"
-    p.write_text("g_e1_ghz = 1.08\n")
-    with pytest.raises(ValueError, match="unknown circuit parameter 'g_e1_ghz'"):
-        load_params(p)
+    for key in ("g_e1_ghz", "g_2_mhz"):
+        p.write_text(f"{key} = 1.08\n")
+        with pytest.raises(ValueError, match=f"unknown circuit parameter '{key}'"):
+            load_params(p)
 
 
 def test_load_rates_plain_per_second(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oscsynth.fockspace import DimensionError, make_space
+from oscsynth.fockspace import DimensionError, _ladder_exp, make_space
 from oscsynth.targets import (
     GKP_SPACING,
     TargetParseError,
@@ -59,6 +59,9 @@ def test_target_state_rejects_symmetry_violation():
         TargetState(v, symmetry_order=2, symmetry_offset=0)
     with pytest.raises(ValueError):
         TargetState(np.zeros(4))
+    for amps in ([1.0, float("nan")], [[1.0, 0.0], [0.0, complex(0.0, float("-inf"))]]):
+        with pytest.raises(ValueError, match="must be finite"):
+            TargetState(amps)
 
 
 def test_infer_symmetry():
@@ -125,12 +128,8 @@ def test_gkp_warns_when_a_comb_shift_outgrows_the_cutoff():
 
 def test_effective_squeezing_of_squeezed_vacuum():
     # for S(r)|0> the stabilizer measure reduces to Delta_x = e^{-r}
-    sp = make_space([120])
-    from oscsynth.fockspace import squeezing
-
     r = 0.9
-    d = sp.osc_cutoffs[0]
-    vec = (squeezing(sp, 0, 2, -r / 2.0)[:d, :d]) @ np.eye(d, 1, dtype=complex)[:, 0]
+    vec = _ladder_exp(120, 2, -r / 2.0)[:, 0]
     m = effective_squeezing(vec)
     assert m.delta_x == pytest.approx(math.exp(-r), rel=1e-6)
     assert m.delta_p == pytest.approx(math.exp(r), rel=1e-6)
@@ -233,10 +232,19 @@ def test_parse_target_amps_bad_line(tmp_path):
     ("bellcat:alpha1=1,alpha2=1,trunc=-7", "truncation level -7 is below 0"),
     ("dense:L1=-3,L2=1", "dense extent L1=-3, L2=1 must be at least 0"),
     ("dense:L1=-9,L2=-9", "dense extent L1=-9, L2=-9 must be at least 0"),
-], ids=["noon-negative-N", "bellcat-negative-trunc", "dense-negative-L1", "dense-negative-both"])
+    ("cat2:alpha=inf", "^alpha=inf is not finite in 'cat2:alpha=inf'$"),
+    ("cat4:alpha=nan", "^alpha=nan is not finite"),
+    ("gkp:kappa=nan,r=0.5,P=2", "^kappa=nan is not finite"),
+    ("gkp:kappa=0.3,r=inf,P=2", "^r=inf is not finite"),
+    ("bellcat:alpha1=inf,alpha2=1", "^alpha1=inf is not finite"),
+    ("bellcat:alpha1=1,alpha2=nan", "^alpha2=nan is not finite"),
+], ids=["noon-negative-N", "bellcat-negative-trunc", "dense-negative-L1", "dense-negative-both",
+        "cat2-alpha-inf", "cat4-alpha-nan", "gkp-kappa-nan", "gkp-r-inf", "bellcat-alpha1-inf",
+        "bellcat-alpha2-nan"])
 def test_parse_target_without_a_space_runs_the_kind_checks_first(spec, message):
     # the default cutoff is picked so that the kind's own check names the
-    # bad value, not the cutoff it would imply
+    # bad value, not the cutoff it would imply; a non-finite number is
+    # rejected before any cutoff is worked out
     with pytest.raises(ValueError, match=message):
         parse_target(spec)
 
